@@ -1,14 +1,14 @@
 """Command line front end: ``gqlab run --config sweep.json --out results.csv``.
 
 Exit status: 0 when every configured threshold held, 1 when one was missed,
-2 on unusable arguments or config.  ``GQL_THREADS`` overrides ``--threads``.
+2 on unusable arguments or config, or when a trial stopped the sweep (the
+message names the learner, point, trial and seed).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from gqlab.errors import GqlabError
@@ -27,7 +27,6 @@ def build_parser() -> argparse.ArgumentParser:
     runp.add_argument("--format", choices=("csv", "json"), help="output format")
     runp.add_argument("--seed", type=int, help="master seed (overrides config)")
     runp.add_argument("--trials", type=int, help="trials per grid point")
-    runp.add_argument("--threads", type=int, default=1)
     return parser
 
 
@@ -51,20 +50,16 @@ def main(argv=None) -> int:
             overrides["fmt"] = args.format
         if overrides:
             cfg = type(cfg)(**{**cfg.__dict__, **overrides})
-        threads = args.threads
-        env_threads = os.environ.get("GQL_THREADS")
-        if env_threads is not None:
-            threads = int(env_threads)
         cfg.validate()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"gqlab: {exc}", file=sys.stderr)
         return 2
 
     try:
-        records, summary = run(cfg, threads=threads)
+        records, summary = run(cfg)
         if cfg.out:
             emit(records, cfg.out, cfg.fmt, allow_empty=True)
-    except (GqlabError, OSError) as exc:
+    except (GqlabError, RuntimeError, OSError) as exc:
         print(f"gqlab: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2))

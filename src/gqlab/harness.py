@@ -3,7 +3,7 @@
 A sweep fixes one learner and one instance family, then runs a grid of size
 points with a fixed number of trials per point.  Every trial derives its own
 counter-based RNG stream from the master seed and the (point, trial) index
-pair, so serial and thread-pool runs produce identical records.
+pair, so trial order does not matter: every order yields identical records.
 
 Family names accepted per learner:
 
@@ -24,14 +24,14 @@ import math
 import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
+from typing import Callable
 
 import numpy as np
 
 from gqlab import cgt as cgt_mod
 from gqlab import or_learners, parity_learners
-from gqlab.errors import GqlabError
+from gqlab.errors import GqlabError, ViolationError
 from gqlab.fourier import learn_symmetric_junta, maj_level_weights
 from gqlab.graphs import FAMILY_KINDS, FamilySpec, Graph, enumerate_all_graphs, generate
 from gqlab.oracles import QUERY_KINDS, GraphOracle, JuntaOracle, QueryLedger
@@ -106,8 +106,7 @@ class ExperimentConfig:
     def validate(self) -> None:
         if self.learner not in LEARNERS:
             raise ValueError(f"unknown learner {self.learner!r}")
-        families, _, _ = LEARNERS[self.learner]
-        if self.family not in families:
+        if self.family not in LEARNERS[self.learner].families:
             raise ValueError(
                 f"family {self.family!r} is not runnable with {self.learner!r}"
             )
@@ -131,8 +130,7 @@ class ExperimentConfig:
     def resolved_metric(self) -> str:
         if self.metric is not None:
             return self.metric
-        _, default_metric, _ = LEARNERS[self.learner]
-        return default_metric
+        return LEARNERS[self.learner].metric
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -169,18 +167,7 @@ class TrialRecord:
     ms: float = 0.0
 
 
-# -- per-learner adapters --------------------------------------------------------
-
-
-def _graph_instance(family: str, point: dict, rng) -> Graph:
-    spec = FamilySpec(
-        kind=family,
-        n=point["n"],
-        k=point.get("k"),
-        m=point.get("m"),
-        d=point.get("d"),
-    )
-    return generate(spec, rng)
+# -- instances and the learner table -------------------------------------------
 
 
 def _matching_union(n: int, layers: int, rng) -> Graph:
@@ -195,148 +182,146 @@ def _matching_union(n: int, layers: int, rng) -> Graph:
     return Graph(n, sorted(edges))
 
 
-def _adapt_or_full(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    got = or_learners.learn_graph_or(
-        h,
-        m_hint=point.get("m_hint", hidden.m),
-        backend=cfg.backend,
-        c=cfg.c,
-        d=point.get("design_d"),
-    )
-    return got == hidden, hidden.m, point.get("d"), point.get("k")
+def _instance(family: str, point: dict, rng, ledger: QueryLedger):
+    """Draw one hidden object; returns ``(oracle, hidden, side)``.
+
+    ``side`` is what the learner is told besides the oracle: the candidate
+    list for ``all_small_graphs``, the known supergraph for
+    ``matching_union``, the ledger billed by group testing for
+    ``defect_set``, and None otherwise.
+    """
+    n = point["n"]
+    if family == "defect_set":
+        hidden = frozenset(
+            int(v) for v in rng.choice(n, size=point["k"], replace=False)
+        )
+
+        def test(items):
+            ledger.charge("or_query")
+            return any(i in hidden for i in items)
+
+        return test, hidden, ledger
+    if family == "majority_junta":
+        k = point["k"]
+        support = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
+        oracle = JuntaOracle(
+            n, support, rng, level_weights=maj_level_weights(k), ledger=ledger
+        )
+        return oracle, frozenset(support), None
+    side = None
+    if family == "all_small_graphs":
+        side = enumerate_all_graphs(point["r"], n)
+        hidden = side[int(rng.integers(len(side)))]
+    elif family == "matching_union":
+        side = _matching_union(n, point["d"], rng)
+        hidden = Graph(n, [e for e in sorted(side.edges) if rng.random() < 0.5])
+    else:
+        spec = FamilySpec(
+            kind=family, n=n, k=point.get("k"), m=point.get("m"), d=point.get("d")
+        )
+        hidden = generate(spec, rng)
+    return GraphOracle(hidden, rng, ledger=ledger), hidden, side
 
 
-def _adapt_or_star(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    res = or_learners.learn_star_or(h, backend=cfg.backend, c=cfg.c)
-    return set(res.edges()) == hidden.edges, hidden.m, None, None
+@dataclass(frozen=True)
+class Learner:
+    """One row of the learner table.
+
+    ``solve(oracle, hidden, point, cfg, side)`` runs the learner; it reads
+    ``hidden`` only for the ``m_hint`` default.  A trial succeeds when the
+    answer equals ``truth(hidden)``.  ``columns`` names the point keys echoed
+    into the ``d``/``k`` CSV columns; ``m`` is the hidden graph's edge count
+    (empty for defect sets and juntas).  A trial that raises a
+    :class:`GqlabError` echoes the point's own ``m``, ``d`` and ``k``.
+    """
+
+    families: tuple[str, ...]
+    metric: str
+    solve: Callable
+    truth: Callable = lambda hidden: hidden
+    columns: tuple[str, ...] = ()
 
 
-def _adapt_or_clique(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    got = or_learners.learn_clique_or(h, point["k"], backend=cfg.backend, c=cfg.c)
-    return got == frozenset(hidden.non_isolated()), hidden.m, None, point["k"]
+def _slack(cfg: ExperimentConfig) -> dict:
+    return {} if cfg.slack is None else {"slack": cfg.slack}
 
 
-def _adapt_parity_arbitrary(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    got = parity_learners.learn_arbitrary_parity(h)
-    return got == hidden, hidden.m, point.get("d"), point.get("k")
+def _non_isolated(hidden: Graph) -> frozenset[int]:
+    return frozenset(hidden.non_isolated())
 
 
-def _adapt_parity_bounded_edges(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    kwargs = {} if cfg.slack is None else {"slack": cfg.slack}
-    got = parity_learners.learn_bounded_edges_parity(h, m=point["m"], **kwargs)
-    return got == hidden, hidden.m, None, None
+def _star(hidden: Graph) -> tuple[int, frozenset[int]]:
+    center = hidden.is_star()
+    return center, frozenset(hidden.neighbors(center))
 
 
-def _adapt_gs_bounded_degree(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    kwargs = {} if cfg.slack is None else {"slack": cfg.slack}
+def _solve_bounded_degree(h, hidden, point, cfg, side):
     res = parity_learners.learn_bounded_degree(
-        h, point["d"], m_hint=point.get("m_hint", hidden.m), **kwargs
+        h, point["d"], m_hint=point.get("m_hint", hidden.m), **_slack(cfg)
     )
-    return (not res.over_degree and res.graph() == hidden), hidden.m, point["d"], None
+    return None if res.over_degree else res.graph()
 
 
-def _adapt_gs_star(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    center, leaves = parity_learners.learn_star_graphstate(h)
-    want_center = hidden.is_star()
-    ok = center == want_center and leaves == frozenset(hidden.neighbors(want_center))
-    return ok, hidden.m, None, None
-
-
-def _adapt_gs_clique(cfg, point, rng, ledger):
-    hidden = _graph_instance(cfg.family, point, rng)
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    got = parity_learners.learn_clique_graphstate(h)
-    return got == frozenset(hidden.non_isolated()), hidden.m, None, point["k"]
-
-
-def _adapt_bell_family(cfg, point, rng, ledger):
-    family = enumerate_all_graphs(point["r"], point["n"])
-    hidden = family[int(rng.integers(len(family)))]
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    got = parity_learners.learn_from_family(h, family, k=point.get("k"))
-    return got == hidden, hidden.m, None, point.get("k")
-
-
-def _adapt_subgraph_known(cfg, point, rng, ledger):
-    base = _matching_union(point["n"], point["d"], rng)
-    hidden = Graph(
-        point["n"], [e for e in sorted(base.edges) if rng.random() < 0.5]
-    )
-    h = GraphOracle(hidden, rng, ledger=ledger)
-    kwargs = {} if cfg.slack is None else {"slack": cfg.slack}
-    got = parity_learners.learn_subgraph_of(h, base, d=point["d"], **kwargs)
-    return got == hidden, hidden.m, point["d"], None
-
-
-def _adapt_cgt(cfg, point, rng, ledger):
-    n, k = point["n"], point["k"]
-    defects = frozenset(int(v) for v in rng.choice(n, size=k, replace=False))
-
-    def test(items):
-        ledger.charge("or_query")
-        return any(i in defects for i in items)
-
-    got = cgt_mod.cgt_solve(
-        list(range(n)),
-        test,
-        k=k if point.get("known_k") else None,
-        backend=cfg.backend,
-        c=cfg.c,
-        ledger=ledger,
-    )
-    return got == defects, None, None, k
-
-
-def _adapt_junta_symmetric(cfg, point, rng, ledger):
-    n, k = point["n"], point["k"]
-    support = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
-    handle = JuntaOracle(
-        n, support, rng, level_weights=maj_level_weights(k), ledger=ledger
-    )
-    got = learn_symmetric_junta(
-        handle, l=point.get("l", (k + 1) // 2), delta=point.get("delta", 0.01)
-    )
-    return got == frozenset(support), None, None, k
-
-
-_GRAPH_FAMILIES = FAMILY_KINDS
-
-# learner id -> (runnable families, default slope metric, adapter)
+# Solvers name learners through their modules (or this module's globals) so
+# that a learner patched after import is the one that runs.
 LEARNERS = {
-    "or_full": (_GRAPH_FAMILIES, "or_query", _adapt_or_full),
-    "or_star": (("star",), "or_query+charged_quantum", _adapt_or_star),
-    "or_clique": (("clique",), "or_query+charged_quantum", _adapt_or_clique),
-    "parity_arbitrary": (_GRAPH_FAMILIES, "parity_query", _adapt_parity_arbitrary),
-    "parity_bounded_edges": (
+    "or_full": Learner(
+        FAMILY_KINDS, "or_query",
+        lambda h, g, p, cfg, side: or_learners.learn_graph_or(
+            h, m_hint=p.get("m_hint", g.m), backend=cfg.backend, c=cfg.c,
+            d=p.get("design_d")),
+        columns=("d", "k")),
+    "or_star": Learner(
+        ("star",), "or_query+charged_quantum",
+        lambda h, g, p, cfg, side: set(
+            or_learners.learn_star_or(h, backend=cfg.backend, c=cfg.c).edges()),
+        truth=lambda g: g.edges),
+    "or_clique": Learner(
+        ("clique",), "or_query+charged_quantum",
+        lambda h, g, p, cfg, side: or_learners.learn_clique_or(
+            h, p["k"], backend=cfg.backend, c=cfg.c),
+        truth=_non_isolated, columns=("k",)),
+    "parity_arbitrary": Learner(
+        FAMILY_KINDS, "parity_query",
+        lambda h, g, p, cfg, side: parity_learners.learn_arbitrary_parity(h),
+        columns=("d", "k")),
+    "parity_bounded_edges": Learner(
         ("fixed_edge_count", "matching", "star", "bounded_degree", "hamiltonian_cycle"),
         "parity_query",
-        _adapt_parity_bounded_edges,
-    ),
-    "graphstate_bounded_degree": (
+        lambda h, g, p, cfg, side: parity_learners.learn_bounded_edges_parity(
+            h, m=p["m"], **_slack(cfg))),
+    "graphstate_bounded_degree": Learner(
         ("bounded_degree", "matching", "hamiltonian_cycle", "star"),
-        "graph_state_copy",
-        _adapt_gs_bounded_degree,
-    ),
-    "graphstate_star": (("star",), "graph_state_copy", _adapt_gs_star),
-    "graphstate_clique": (("clique",), "graph_state_copy", _adapt_gs_clique),
-    "bell_family": (("all_small_graphs",), "graph_state_copy", _adapt_bell_family),
-    "subgraph_known": (("matching_union",), "graph_state_copy", _adapt_subgraph_known),
-    "cgt": (("defect_set",), "charged_quantum", _adapt_cgt),
-    "junta_symmetric": (("majority_junta",), "charged_quantum", _adapt_junta_symmetric),
+        "graph_state_copy", _solve_bounded_degree, columns=("d",)),
+    "graphstate_star": Learner(
+        ("star",), "graph_state_copy",
+        lambda h, g, p, cfg, side: parity_learners.learn_star_graphstate(h),
+        truth=_star),
+    "graphstate_clique": Learner(
+        ("clique",), "graph_state_copy",
+        lambda h, g, p, cfg, side: parity_learners.learn_clique_graphstate(h),
+        truth=_non_isolated, columns=("k",)),
+    "bell_family": Learner(
+        ("all_small_graphs",), "graph_state_copy",
+        lambda h, g, p, cfg, family: parity_learners.learn_from_family(
+            h, family, k=p.get("k")),
+        columns=("k",)),
+    "subgraph_known": Learner(
+        ("matching_union",), "graph_state_copy",
+        lambda h, g, p, cfg, base: parity_learners.learn_subgraph_of(
+            h, base, d=p["d"], **_slack(cfg)),
+        columns=("d",)),
+    "cgt": Learner(
+        ("defect_set",), "charged_quantum",
+        lambda test, defects, p, cfg, ledger: cgt_mod.cgt_solve(
+            list(range(p["n"])), test, k=p["k"] if p.get("known_k") else None,
+            backend=cfg.backend, c=cfg.c, ledger=ledger),
+        columns=("k",)),
+    "junta_symmetric": Learner(
+        ("majority_junta",), "charged_quantum",
+        lambda h, support, p, cfg, side: learn_symmetric_junta(
+            h, l=p.get("l", (p["k"] + 1) // 2), delta=p.get("delta", 0.01)),
+        columns=("k",)),
 }
 
 
@@ -349,13 +334,24 @@ def _run_trial(cfg: ExperimentConfig, point_idx: int, trial_idx: int) -> TrialRe
     rng = np.random.Generator(np.random.Philox(ss))
     ledger = QueryLedger()
     point = cfg.grid[point_idx]
-    _, _, adapter = LEARNERS[cfg.learner]
+    row = LEARNERS[cfg.learner]
+    where = f"{cfg.learner} point {point_idx} trial {trial_idx} seed {seed_val}"
     t0 = time.perf_counter() if cfg.record_wall_time else 0.0
     try:
-        success, m, d, k = adapter(cfg, point, rng, ledger)
+        oracle, hidden, side = _instance(cfg.family, point, rng, ledger)
+        success = row.solve(oracle, hidden, point, cfg, side) == row.truth(hidden)
+        m = hidden.m if isinstance(hidden, Graph) else None
+        d = point.get("d") if "d" in row.columns else None
+        k = point.get("k") if "k" in row.columns else None
     except GqlabError:
         success, m, d, k = False, point.get("m"), point.get("d"), point.get("k")
+    except Exception as exc:
+        raise RuntimeError(f"{where}: {exc!r}") from exc
     ms = round((time.perf_counter() - t0) * 1000.0, 3) if cfg.record_wall_time else 0.0
+    if ledger.counts["reveal_used"]:
+        raise ViolationError(
+            f"{where}: learner used {ledger.counts['reveal_used']} reveal(s)"
+        )
     return TrialRecord(
         trial=point_idx * cfg.trials + trial_idx,
         seed=seed_val,
@@ -373,26 +369,25 @@ def _metric_value(record: TrialRecord, metric: str) -> int:
     return sum(record.ledger.get(term, 0) for term in metric.split("+"))
 
 
-def run(
-    cfg: ExperimentConfig, threads: int = 1
-) -> tuple[list[TrialRecord], dict]:
+def run(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     """Run the sweep; returns records ordered by (point, trial) and a summary.
 
     The summary carries per-point success rates and query medians, the
     log-log slope of the mean metric against the sweep key when one is
-    configured, and the verdict on any configured thresholds.
+    configured, and the verdict on any configured thresholds.  A trial that
+    raises anything but a :class:`GqlabError` stops the sweep with a
+    ``RuntimeError``, and one whose learner used an audited reveal with a
+    :class:`ViolationError`; both messages name the learner, point, trial
+    and seed.
     """
     cfg.validate()
     if cfg.trials == 0:
         return [], {}
-    jobs = [
-        (pi, ti) for pi in range(len(cfg.grid)) for ti in range(cfg.trials)
+    records = [
+        _run_trial(cfg, pi, ti)
+        for pi in range(len(cfg.grid))
+        for ti in range(cfg.trials)
     ]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda j: _run_trial(cfg, *j), jobs))
-    else:
-        records = [_run_trial(cfg, *j) for j in jobs]
 
     metric = cfg.resolved_metric()
     points_summary = []

@@ -17,7 +17,7 @@ import numpy as np
 from gqlab import f2
 from gqlab.errors import ScaleError
 from gqlab.f2 import BitVector
-from gqlab.fourier import MAX_TABLE_VARS, fourier_table, influence_profile
+from gqlab.fourier import MAX_TABLE_VARS, _fwht, fourier_table, influence_profile
 from gqlab.graphs import Graph
 
 __all__ = ["QUERY_KINDS", "MAX_WHT_VARS", "QueryLedger", "GraphOracle", "JuntaOracle"]
@@ -114,35 +114,18 @@ class GraphOracle:
         self.n = graph.n
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
-        self.calls = {
-            "or_query": 0,
-            "parity_query": 0,
-            "parity_vector_query": 0,
-            "bell_sample": 0,
-            "hadamard_sample": 0,
-            "fourier_sample_or": 0,
-        }
 
     # -- classical queries ---------------------------------------------------
 
     def or_query(self, subset) -> int:
         """1 iff the subset induces at least one edge."""
         mask = _as_mask(self.n, subset)
-        self.calls["or_query"] += 1
         self.ledger.charge("or_query")
-        adj = self._graph.adj_bits
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj[v] & mask:
-                return 1
-            m &= m - 1
-        return 0
+        return self._induces_edge(mask)
 
     def parity_query(self, subset) -> int:
         """Parity of the number of induced edges."""
         mask = _as_mask(self.n, subset)
-        self.calls["parity_query"] += 1
         self.ledger.charge("parity_query")
         total = 0
         m = mask
@@ -156,7 +139,6 @@ class GraphOracle:
         """Adjacency-matrix action on v, at the cost of two parity queries."""
         if v.n != self.n:
             raise ValueError("vector width mismatch")
-        self.calls["parity_vector_query"] += 1
         self.ledger.charge("parity_query", 2)
         return BitVector(self.n, self._matvec_bits(v.bits))
 
@@ -164,14 +146,12 @@ class GraphOracle:
 
     def bell_sample(self) -> tuple[BitVector, BitVector]:
         """Uniform s with y = A s; consumes two state copies."""
-        self.calls["bell_sample"] += 1
         self.ledger.charge("graph_state_copy", 2)
         s_bits = f2.random_vector(self.n, self.rng).bits
         return BitVector(self.n, s_bits), BitVector(self.n, self._matvec_bits(s_bits))
 
     def hadamard_sample(self) -> BitVector:
         """All-qubits X-basis measurement outcome; consumes one state copy."""
-        self.calls["hadamard_sample"] += 1
         self.ledger.charge("graph_state_copy")
         center = self._graph.is_star()
         if center is not None:
@@ -206,7 +186,6 @@ class GraphOracle:
         (everything else pinned to 0), i.e. the OR function of the induced
         subgraph.
         """
-        self.calls["fourier_sample_or"] += 1
         self.ledger.charge("or_query")
         if restrict is None:
             center = self._graph.is_star()
@@ -260,7 +239,7 @@ class GraphOracle:
             hit |= ((idx >> pos[u]) & 1).astype(bool) & ((idx >> pos[v]) & 1).astype(bool)
         signs = np.where(hit, -1.0, 1.0)
         self.ledger.charge("classical_bit_ops", (1 << t) * max(1, len(edges)))
-        coeffs = _fwht_inplace(signs) / (1 << t)
+        coeffs = _fwht(signs) / (1 << t)
         probs = coeffs**2
         outcome = int(self.rng.choice(1 << t, p=probs / probs.sum()))
         return frozenset(relevant[j] for j in range(t) if (outcome >> j) & 1)
@@ -275,6 +254,9 @@ class GraphOracle:
         """Uncharged OR query for quantum cost models; audited as a reveal."""
         mask = _as_mask(self.n, subset)
         self.ledger.charge("reveal_used")
+        return self._induces_edge(mask)
+
+    def _induces_edge(self, mask: int) -> int:
         adj = self._graph.adj_bits
         m = mask
         while m:
@@ -293,19 +275,6 @@ class GraphOracle:
             out ^= adj[v]
             m &= m - 1
         return out
-
-
-def _fwht_inplace(vec: np.ndarray) -> np.ndarray:
-    v = vec.astype(np.float64, copy=True)
-    h = 1
-    while h < len(v):
-        v = v.reshape(-1, 2, h)
-        a, b = v[:, 0, :].copy(), v[:, 1, :].copy()
-        v[:, 0, :] = a + b
-        v[:, 1, :] = a - b
-        v = v.reshape(-1)
-        h *= 2
-    return v
 
 
 class JuntaOracle:

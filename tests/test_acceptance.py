@@ -17,7 +17,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from gqlab import or_learners, parity_learners
+from gqlab import harness, or_learners, parity_learners
 from gqlab.cgt import BACKENDS, cgt_solve
 from gqlab.errors import AmbiguityError
 from gqlab.f2 import random_matrix
@@ -504,9 +504,11 @@ def test_criterion_10_runs_are_bit_identical(tmp_path):
         ),
     ]
     for i, cfg in enumerate(configs):
+        jobs = [(pi, ti) for pi in range(len(cfg.grid)) for ti in range(cfg.trials)]
+        by_job = {job: harness._run_trial(cfg, *job) for job in reversed(jobs)}
+        reversed_order = [by_job[job] for job in jobs]
         outputs = []
-        for j, threads in enumerate((1, 1, 4)):
-            records, _ = run(cfg, threads=threads)
+        for j, records in enumerate((run(cfg)[0], run(cfg)[0], reversed_order)):
             path = tmp_path / f"run_{i}_{j}.csv"
             emit(records, path, fmt="csv")
             outputs.append(path.read_bytes())

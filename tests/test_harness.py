@@ -1,7 +1,12 @@
+import dataclasses
+import hashlib
 import json
 
+import numpy as np
 import pytest
 
+from gqlab import harness
+from gqlab.errors import ViolationError
 from gqlab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -51,11 +56,11 @@ def test_same_seed_same_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_parallel_matches_serial(tmp_path):
+def test_reversed_trial_order_matches_serial():
     cfg = small_config(trials=12)
-    serial = run(cfg, threads=1)[0]
-    parallel = run(cfg, threads=4)[0]
-    assert serial == parallel
+    jobs = [(pi, ti) for pi in range(len(cfg.grid)) for ti in range(cfg.trials)]
+    by_job = {job: harness._run_trial(cfg, *job) for job in reversed(jobs)}
+    assert [by_job[job] for job in jobs] == run(cfg)[0]
 
 
 def test_different_seed_differs():
@@ -253,12 +258,109 @@ def test_cli_usage_error_is_2(capsys):
     capsys.readouterr()
 
 
-def test_cli_env_thread_override_keeps_bytes(tmp_path, capsys, monkeypatch):
-    cfg_path = write_config(tmp_path, trials=10)
-    serial_out = tmp_path / "serial.csv"
-    cli.main(["run", "--config", str(cfg_path), "--out", str(serial_out)])
-    monkeypatch.setenv("GQL_THREADS", "4")
-    threaded_out = tmp_path / "threaded.csv"
-    cli.main(["run", "--config", str(cfg_path), "--out", str(threaded_out)])
-    assert serial_out.read_bytes() == threaded_out.read_bytes()
-    capsys.readouterr()
+
+# -- one pinned sweep per learner -------------------------------------------------
+
+# learner -> (family, grid, slack, sha256 of the emitted CSV).  Points carry
+# extra m/d/k keys so the digests pin which of them each learner echoes; the
+# slack learners run at slack 0, where some trials raise and fall back to the
+# point's own m/d/k.
+GOLDEN = {
+    "or_full": (
+        "fixed_edge_count", [{"n": 10, "m": 4, "d": 2, "k": 3}], None,
+        "58925d627208c03b11a0528b3b1a41a2a0327fdc83b8d459ca2c3ef0309581c7",
+    ),
+    "or_star": (
+        "star", [{"n": 12, "m": 4, "d": 1, "k": 5}], None,
+        "9f4c2ac5f3b87b6bfa8c7a5cc886f7e9cbc806b51e510ccaab4301832f246782",
+    ),
+    "or_clique": (
+        "clique", [{"n": 12, "k": 4, "d": 2, "m": 1}], None,
+        "7a6e968134e1c1effce1786dd1db9e5b66e2c9279a50de76071e7c983707c76d",
+    ),
+    "parity_arbitrary": (
+        "fixed_edge_count", [{"n": 8, "m": 5, "d": 3, "k": 2}], None,
+        "f19d9d6c92d812dc303221514f0b079209a78b4f4fd1400f105800b6369c1217",
+    ),
+    "parity_bounded_edges": (
+        "fixed_edge_count", [{"n": 24, "m": 10, "d": 2, "k": 3}], 0,
+        "9d85bd2aa46483717113e5ccfa172235197bae6fedc9115cf273524b06e67093",
+    ),
+    "graphstate_bounded_degree": (
+        "bounded_degree", [{"n": 16, "d": 2, "m": 6, "k": 3}], 0,
+        "975dac8b1f6fcd63bf142d13ce4191502e9f4bc59c5b90141b7d3f036135a380",
+    ),
+    "graphstate_star": (
+        "star", [{"n": 10, "m": 3, "d": 1, "k": 2}], None,
+        "d1aa9bc6a711578c9739ee8c077341088bcca1578afd760120f86924dd4ad7ab",
+    ),
+    "graphstate_clique": (
+        "clique", [{"n": 10, "k": 4, "d": 2, "m": 1}], None,
+        "fa18eb4698fc0ad90d85f90ab1ea9f481dd7a83ec530855d82e9bd17a6ea3775",
+    ),
+    "bell_family": (
+        "all_small_graphs", [{"n": 5, "r": 3, "k": 2, "d": 1, "m": 2}, {"n": 4, "r": 3}],
+        None,
+        "1ca79258fdd81e5541e8b3d7a25bb9659d291d0fd1f9ff3a6bcf6b7cc47e86e8",
+    ),
+    "subgraph_known": (
+        "matching_union", [{"n": 12, "d": 2, "k": 3, "m": 1}], 0,
+        "29610f2fed8cc00511152482193b2230b70add931124f74459c23a6c946ed63b",
+    ),
+    "cgt": (
+        "defect_set", [{"n": 32, "k": 3, "known_k": True, "m": 2, "d": 1}], None,
+        "b8702d82bf7ed0617d5e98178a8a71dc14a4d7d371d3876858a007997aa088bf",
+    ),
+    "junta_symmetric": (
+        "majority_junta", [{"n": 16, "k": 3, "m": 1, "d": 2}], None,
+        "ac9fbce4fde461e8279913655ff390c9f0313977057817f7203430a6b25479e2",
+    ),
+}
+
+
+def test_golden_covers_every_learner():
+    assert set(GOLDEN) == set(harness.LEARNERS)
+
+
+@pytest.mark.parametrize("learner", sorted(GOLDEN))
+def test_learner_csv_is_pinned(learner, tmp_path):
+    family, grid, slack, digest = GOLDEN[learner]
+    cfg = ExperimentConfig(
+        learner=learner, family=family, grid=tuple(grid), trials=6, seed=2024,
+        slack=slack,
+    )
+    path = tmp_path / f"{learner}.csv"
+    emit(run(cfg)[0], str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# -- trials that raise or cheat ----------------------------------------------------
+
+
+def test_trial_error_names_its_trial(tmp_path, capsys):
+    cfg = ExperimentConfig(
+        learner="or_full", family="matching", grid=({"n": 8},), trials=2, seed=5
+    )
+    seed = np.random.SeedSequence(5, spawn_key=(0, 0)).generate_state(1, np.uint64)[0]
+    with pytest.raises(RuntimeError) as info:
+        run(cfg)
+    assert str(info.value).startswith(f"or_full point 0 trial 0 seed {seed}: ")
+    assert "matching needs m" in str(info.value)
+    assert isinstance(info.value.__cause__, ValueError)
+    path = tmp_path / "cfg.json"
+    path.write_text(cfg.to_json())
+    assert cli.main(["run", "--config", str(path)]) == 2
+    assert "or_full point 0 trial 0" in capsys.readouterr().err
+
+
+def test_reveal_in_a_trial_is_a_violation(monkeypatch):
+    row = harness.LEARNERS["parity_arbitrary"]
+
+    def cheat(h, hidden, point, cfg, side):
+        return h.peek_graph()
+
+    monkeypatch.setitem(
+        harness.LEARNERS, "parity_arbitrary", dataclasses.replace(row, solve=cheat)
+    )
+    with pytest.raises(ViolationError, match="parity_arbitrary point 0 trial 0 seed"):
+        run(small_config())

@@ -76,7 +76,8 @@ def test_or_and_parity_match_direct_counting():
             cnt = count_induced(g, subset)
             assert oracle.or_query(subset) == (1 if cnt else 0)
             assert oracle.parity_query(subset) == cnt % 2
-    assert oracle.ledger.counts["or_query"] == oracle.calls["or_query"]
+    assert oracle.ledger.counts["or_query"] == 20
+    assert oracle.ledger.counts["parity_query"] == 20
 
 
 def test_queries_accept_bitvectors_and_reject_bad_vertices():
