@@ -214,13 +214,12 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
         m = spec.m if spec.m is not None else int(rng.integers(0, n * spec.d // 2 + 1))
         if 2 * m > n * spec.d:
             raise ValueError("m exceeds what max degree d allows")
+        us, vs = np.triu_indices(n, 1)
         for _ in range(200):
             deg = [0] * n
             chosen: list[tuple[int, int]] = []
-            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-            order = rng.permutation(len(pairs))
-            for idx in order:
-                u, v = pairs[int(idx)]
+            order = rng.permutation(len(us))
+            for u, v in zip(us[order].tolist(), vs[order].tolist()):
                 if deg[u] < spec.d and deg[v] < spec.d:
                     chosen.append((u, v))
                     deg[u] += 1
@@ -232,11 +231,11 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     if kind == "fixed_edge_count":
         if spec.m is None or spec.m < 0:
             raise ValueError("fixed_edge_count needs m >= 0")
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        if spec.m > len(pairs):
+        us, vs = np.triu_indices(n, 1)
+        if spec.m > len(us):
             raise ValueError("m exceeds the number of vertex pairs")
-        picks = rng.choice(len(pairs), size=spec.m, replace=False)
-        return Graph(n, [pairs[int(i)] for i in picks])
+        picks = rng.choice(len(us), size=spec.m, replace=False)
+        return Graph(n, zip(us[picks].tolist(), vs[picks].tolist()))
 
     if kind == "subgraph_of":
         if spec.base is None or spec.base.n != n:

@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
 from gqlab import f2
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
 from gqlab.f2 import BitMatrix, BitVector
@@ -35,7 +33,7 @@ __all__ = [
     "learn_clique_graphstate",
 ]
 
-# exhaustive low-weight row search refuses beyond this many candidates
+# the low-weight row search refuses when C(n', <=d) exceeds this many supports
 ENUMERATION_CAP = 10_000_000
 
 
@@ -60,11 +58,18 @@ class SampleBatch:
         return self.B.ncols
 
     def audit(self, graph: Graph) -> bool:
-        adj = graph.adjacency()
-        return all(
-            f2.matvec(adj, self.B.column(i)) == self.Y.column(i)
-            for i in range(self.k)
-        )
+        """Whether Y = A B: row v of Y is the XOR of B's rows over v's neighbors."""
+        if graph.n != self.n:
+            raise ValueError("graph width does not match the batch")
+        rows_b = self.B.rows
+        for y, adj in zip(self.Y.rows, graph.adj_bits):
+            while adj:
+                low = adj & -adj
+                y ^= rows_b[low.bit_length() - 1]
+                adj ^= low
+            if y:
+                return False
+        return True
 
 
 def collect_samples(
@@ -104,21 +109,6 @@ def collect_samples(
 # -- finite family -----------------------------------------------------------------
 
 
-def _consistent(graph: Graph, batch: SampleBatch) -> bool:
-    adj = graph.adj_bits
-    for i in range(batch.k):
-        s_bits = batch.B.column(i).bits
-        out = 0
-        m = s_bits
-        while m:
-            v = (m & -m).bit_length() - 1
-            out ^= adj[v]
-            m &= m - 1
-        if out != batch.Y.column(i).bits:
-            return False
-    return True
-
-
 def learn_from_family(
     h: GraphOracle,
     family: Iterable[Graph],
@@ -142,7 +132,7 @@ def learn_from_family(
     if k < 1:
         raise ValueError("need at least one sample for a non-singleton family")
     batch = collect_samples(h.bell_sample, k)
-    survivors = [g for g in members if _consistent(g, batch)]
+    survivors = [g for g in members if batch.audit(g)]
     if len(survivors) != 1:
         raise AmbiguityError(
             f"{len(survivors)} of {len(members)} members consistent after {k} samples"
@@ -169,78 +159,66 @@ class BoundedDegreeResult:
             raise ViolationError(
                 f"{len(self.over_degree)} rows exceed degree {self.d}"
             )
-        edges = []
-        for v, nbrs in self.neighbors.items():
-            for u in nbrs:
-                if self.neighbors.get(u) is None or v not in self.neighbors[u]:
-                    raise AmbiguityError("row assembly is not symmetric")
-                if v < u:
-                    edges.append((v, u))
-        return Graph(self.n, edges)
+        return _assemble(self.n, self.neighbors)
+
+
+def _assemble(n: int, rows: dict[int, frozenset[int]]) -> Graph:
+    """The graph whose rows these are; every neighbor claim must be returned."""
+    edges = []
+    for v, nbrs in rows.items():
+        for u in nbrs:
+            if v not in rows.get(u, ()):
+                raise AmbiguityError("row assembly is not symmetric")
+            if v < u:
+                edges.append((v, u))
+    return Graph(n, edges)
 
 
 def _enumeration_size(n_items: int, d: int) -> int:
     return sum(math.comb(n_items, l) for l in range(min(d, n_items) + 1))
 
 
-def _combo_matrix(count: int, l: int) -> np.ndarray:
-    """All strictly increasing index tuples of length l, one per row."""
-    if l == 1:
-        return np.arange(count, dtype=np.int32).reshape(-1, 1)
-    if l == 2:
-        upper = np.triu_indices(count, k=1)
-        return np.column_stack(
-            (upper[0].astype(np.int32), upper[1].astype(np.int32))
-        )
-    parts = []
-    for first in range(count - l + 1):
-        tail = _combo_matrix(count - first - 1, l - 1) + np.int32(first + 1)
-        parts.append(
-            np.column_stack((np.full(len(tail), first, dtype=np.int32), tail))
-        )
-    if not parts:
-        return np.empty((0, l), dtype=np.int32)
-    return np.vstack(parts)
+def _xor_table(sigs: Sequence[int], w: int) -> dict[int, list[int]]:
+    """Map each XOR of at most w distinct signatures to the supports giving it.
 
-
-def _level_tables(sigs: Sequence[int], d: int):
-    """Sorted low-64-bit signature tables for every candidate weight 1..d.
-
-    Returns per level (sorted_low, order, combo_rows) where combo_rows[j]
-    lists member positions of candidate j.
+    A support is a bit mask over positions in ``sigs``; the empty support
+    sits under key 0.
     """
-    count = len(sigs)
-    low = np.array([s & 0xFFFFFFFFFFFFFFFF for s in sigs], dtype=np.uint64)
-    tables = []
-    for l in range(1, min(d, count) + 1):
-        combos = _combo_matrix(count, l)
-        vals = low[combos[:, 0]]
-        for col in range(1, l):
-            vals = vals ^ low[combos[:, col]]
-        order = np.argsort(vals, kind="stable")
-        tables.append((vals[order], order, combos))
-    return tables
+    table: dict[int, list[int]] = {0: [0]}
+    level = [(0, 0, 0)]  # (support, signature, first position still free)
+    for _ in range(w):
+        level = [
+            (mask | 1 << j, acc ^ sigs[j], j + 1)
+            for mask, acc, start in level
+            for j in range(start, len(sigs))
+        ]
+        for mask, acc, _ in level:
+            table.setdefault(acc, []).append(mask)
+    return table
 
 
-def _row_candidates(target: int, sigs: Sequence[int], tables, limit: int = 2):
-    """All weight-<=d supports whose signature XOR equals the target."""
-    matches = []
-    if target == 0:
-        matches.append(())
-    t_low = np.uint64(target & 0xFFFFFFFFFFFFFFFF)
-    for vals, order, combos in tables:
-        lo = int(np.searchsorted(vals, t_low, side="left"))
-        hi = int(np.searchsorted(vals, t_low, side="right"))
-        for pos in range(lo, hi):
-            members = combos[order[pos]]
-            acc = 0
-            for j in members:
-                acc ^= sigs[int(j)]
-            if acc == target:
-                matches.append(tuple(int(j) for j in members))
-                if len(matches) >= limit:
-                    return matches
-    return matches
+def _row_supports(
+    target: int,
+    big: dict[int, list[int]],
+    small: dict[int, list[int]],
+    limit: int = 2,
+) -> set[int]:
+    """Distinct supports of weight <= d whose signatures XOR to the target.
+
+    ``big`` and ``small`` are the ceil(d/2) and floor(d/2) tables.  Every
+    support of weight <= d splits into one half of each, so ``a ^ b`` over
+    ``b`` in ``small[s]`` and ``a`` in ``big[target ^ s]`` reaches them all;
+    halves that overlap cancel and still leave a support of weight <= d.
+    Stops once ``limit`` are found.
+    """
+    found: set[int] = set()
+    for s, halves in small.items():
+        for a in big.get(target ^ s, ()):
+            for b in halves:
+                found.add(a ^ b)
+                if len(found) >= limit:
+                    return found
+    return found
 
 
 def learn_bounded_degree(
@@ -258,8 +236,11 @@ def learn_bounded_degree(
     are the non-isolated vertices.  Phase 2 adds ceil(d log2(n'/d)) + slack
     samples and searches each non-isolated row for the unique weight-<=d
     combination of non-isolated columns matching the observed bits; rows
-    with no match are reported over-degree.  The candidate search is an
-    exhaustive enumeration and refuses above the candidate cap.
+    with no match are reported over-degree.  The search meets in the
+    middle: it tabulates the XOR of every combination of at most ceil(d/2)
+    and of at most floor(d/2) column signatures once, and a row's matches
+    are the pairs, one from each table, whose XOR is the row's bits (Stern
+    1988).  It refuses when C(n', <=d) exceeds the candidate cap.
 
     With d above n/4 the sparse search loses its edge; the full row readout
     is used instead and rows wider than d are marked over-degree.
@@ -305,16 +286,20 @@ def learn_bounded_degree(
             f"exceed the enumeration cap {ENUMERATION_CAP}"
         )
     sigs = [batch.B.rows[u] for u in nonzero]
-    tables = _level_tables(sigs, d)
+    big = _xor_table(sigs, (d + 1) // 2)
+    small = _xor_table(sigs, d // 2)
     over = set()
     for v in nonzero:
-        found = _row_candidates(batch.Y.rows[v], sigs, tables)
+        found = _row_supports(batch.Y.rows[v], big, small)
         if len(found) > 1:
             raise AmbiguityError(f"row {v} has multiple weight-<={d} explanations")
         if not found:
             over.add(v)
         else:
-            neighbors[v] = frozenset(nonzero[j] for j in found[0])
+            (mask,) = found
+            neighbors[v] = frozenset(
+                u for j, u in enumerate(nonzero) if mask >> j & 1
+            )
     return BoundedDegreeResult(n, d, neighbors, frozenset(over), batch.k)
 
 
@@ -357,19 +342,10 @@ def learn_subgraph_of(
             if not cand:
                 rows[v] = frozenset()
                 continue
-            width = len(cand)
-            mat_rows = []
-            rhs_bits = 0
-            for i in range(batch.k):
-                row = 0
-                for j, u in enumerate(cand):
-                    if (batch.B.rows[u] >> i) & 1:
-                        row |= 1 << j
-                mat_rows.append(row)
-                rhs_bits |= ((batch.Y.rows[v] >> i) & 1) << i
+            system = f2.transpose_words([batch.B.rows[u] for u in cand], batch.k)
             solution = f2.solve(
-                BitMatrix(batch.k, width, tuple(mat_rows)),
-                BitVector(batch.k, rhs_bits),
+                BitMatrix(batch.k, len(cand), system),
+                BitVector(batch.k, batch.Y.rows[v]),
             )
             if solution is None:
                 raise AmbiguityError(f"row {v}: inconsistent system")
@@ -387,15 +363,7 @@ def learn_subgraph_of(
         raise AmbiguityError(
             f"{len(pending)} rows stayed underdetermined after {retry_rounds} top-ups"
         )
-
-    edges = []
-    for v in range(n):
-        for u in rows[v]:
-            if v not in rows[u]:
-                raise AmbiguityError("row assembly is not symmetric")
-            if v < u:
-                edges.append((v, u))
-    return Graph(n, edges)
+    return _assemble(n, rows)
 
 
 # -- bounded edge count ------------------------------------------------------------------
@@ -425,23 +393,15 @@ def learn_bounded_edges_parity(
         h, d, m_hint=max(m, 1), slack=slack, _sampler=sampler
     )
     rows = dict(result.neighbors)
-    exact = set()
     for v in sorted(result.over_degree):
         row = h.parity_vector_query(BitVector.basis(n, v))
         rows[v] = frozenset(row.support())
-        exact.add(v)
-
-    edges = set()
-    for v in range(n):
-        for u in rows[v]:
-            # exact rows are complete, so a true claim is always reciprocated;
-            # an unreciprocated one exposes a wrong sparse row
-            if v not in rows[u]:
-                raise AmbiguityError("row assembly is not symmetric")
-            edges.add((min(v, u), max(v, u)))
-    if len(edges) > m:
-        raise ViolationError(f"{len(edges)} edges exceed the promise {m}")
-    return Graph(n, sorted(edges))
+    # exact rows are complete, so a true claim is always reciprocated; an
+    # unreciprocated one exposes a wrong sparse row
+    graph = _assemble(n, rows)
+    if graph.m > m:
+        raise ViolationError(f"{graph.m} edges exceed the promise {m}")
+    return graph
 
 
 # -- unrestricted parity -------------------------------------------------------------------

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,6 +333,25 @@ def test_learner_csv_is_pinned(learner, tmp_path):
     path = tmp_path / f"{learner}.csv"
     emit(run(cfg)[0], str(path))
     assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+
+# The per-learner pins above stop at d = 2; these two presets, cut to 10 trials
+# per point, decode rows up to d = 4 (preset -> sha256 of the emitted CSV).
+PRESET_GOLDEN = {
+    "sweep_bounded_degree_copies":
+        "cafe8d20525301959a4496056e531c67699e459c409c08672c27f7e19ab4fe67",
+    "sweep_bounded_edges_parity":
+        "ae0b72519fcb41b251de9e2a0334ee86d2a4b547f7093939cf09d3433984dd37",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_GOLDEN))
+def test_bounded_degree_preset_csv_is_pinned(preset, tmp_path):
+    text = (Path(__file__).parents[1] / "scripts" / f"{preset}.json").read_text()
+    cfg = dataclasses.replace(config_from_json(text), trials=10)
+    path = tmp_path / f"{preset}.csv"
+    emit(run(cfg)[0], str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_GOLDEN[preset]
 
 
 # -- trials that raise or cheat ----------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -8,10 +9,12 @@ from hypothesis import strategies as st
 
 from gqlab import f2
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
-from gqlab.graphs import Graph
+from gqlab.graphs import FamilySpec, Graph, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.parity_learners import (
     BoundedDegreeResult,
+    _row_supports,
+    _xor_table,
     collect_samples,
     learn_arbitrary_parity,
     learn_bounded_degree,
@@ -133,6 +136,15 @@ def test_bounded_degree_recovers_scattered_cycle():
         assert res.neighbors[0] == frozenset()
 
 
+@pytest.mark.parametrize("d", [1, 3, 4])
+def test_bounded_degree_recovers_graph_at_its_bound(d):
+    g = generate(FamilySpec("bounded_degree", 40, d=d, m=8 * d), np.random.default_rng(d))
+    assert max(g.degree(v) for v in range(40)) == d
+    for seed in range(3):
+        res = learn_bounded_degree(make_oracle(g, seed=seed), d=d, m_hint=g.m)
+        assert res.graph() == g
+
+
 def test_bounded_degree_marks_planted_hub():
     edges = [(0, v) for v in range(1, 6)] + [(6, 7), (8, 9)]
     g = Graph(16, edges)
@@ -156,6 +168,52 @@ def test_bounded_degree_empty_graph_stops_after_phase_one():
     # ceil(log2 4) + 5 = 7 samples and no second phase
     assert res.samples_used == 7
     assert ledger.counts["graph_state_copy"] == 14
+
+
+def brute_supports(target, sigs, d):
+    """Every support of weight <= d, as a position mask, whose signatures XOR to target."""
+    out = set()
+    for w in range(min(d, len(sigs)) + 1):
+        for combo in combinations(range(len(sigs)), w):
+            acc = 0
+            for j in combo:
+                acc ^= sigs[j]
+            if acc == target:
+                out.add(sum(1 << j for j in combo))
+    return out
+
+
+def test_row_decoder_matches_brute_force():
+    rnd = random.Random(5)
+    seen_ambiguous = seen_wide_unique = 0
+    for _ in range(300):
+        n, d = rnd.randint(1, 10), rnd.randint(1, 4)
+        width = rnd.choice((3, 8, 70, 130))
+        sigs = [rnd.getrandbits(width) for _ in range(n)]
+        planted = 0
+        for j in rnd.sample(range(n), rnd.randint(1, min(d, n))):
+            planted ^= sigs[j]
+        big, small = _xor_table(sigs, (d + 1) // 2), _xor_table(sigs, d // 2)
+        for target in (0, planted, rnd.getrandbits(width)):
+            want = brute_supports(target, sigs, d)
+            assert _row_supports(target, big, small, limit=len(want) + 1) == want
+            capped = _row_supports(target, big, small)
+            assert capped <= want and len(capped) == min(len(want), 2)
+            seen_ambiguous += len(want) > 1
+            seen_wide_unique += width > 64 and len(want) == 1 and target != 0
+    assert seen_ambiguous > 50 and seen_wide_unique > 50
+
+
+def test_row_decoder_reads_past_the_low_64_bits():
+    a, b = 0x1234_5678_9ABC_DEF0, 0x0FED_CBA9_8765_4321
+    # columns 0/1 and 2/3 agree on their low 64 bits and differ above them
+    sigs = [a, a ^ (1 << 100), b, b ^ (1 << 90)]
+    for d in range(1, 5):
+        big, small = _xor_table(sigs, (d + 1) // 2), _xor_table(sigs, d // 2)
+        assert _row_supports(a, big, small) == {0b0001}
+        assert _row_supports(a ^ (1 << 100), big, small) == {0b0010}
+        assert _row_supports(a ^ (1 << 101), big, small) == set()
+        assert _row_supports(a ^ b, big, small) == ({0b0101} if d > 1 else set())
 
 
 def test_bounded_degree_enumeration_guard():
