@@ -7,7 +7,7 @@ mkdir -p results
 status=0
 for cfg in scripts/*.json; do
     echo "== $cfg"
-    if ! gqlab run --config "$cfg"; then
+    if ! PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} python3 -m gqlab.cli run --config "$cfg"; then
         echo "** threshold or usage failure in $cfg" >&2
         status=1
     fi

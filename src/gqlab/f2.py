@@ -129,13 +129,6 @@ class BitMatrix:
     def identity(cls, n: int) -> "BitMatrix":
         return cls(n, n, [1 << i for i in range(n)])
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[BitVector]) -> "BitMatrix":
-        if not rows:
-            raise ValueError("need at least one row")
-        ncols = rows[0].n
-        return cls(len(rows), ncols, [r.bits for r in rows])
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.ncols, self.rows[i])
 

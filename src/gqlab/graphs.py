@@ -214,6 +214,8 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
         m = spec.m if spec.m is not None else int(rng.integers(0, n * spec.d // 2 + 1))
         if 2 * m > n * spec.d:
             raise ValueError("m exceeds what max degree d allows")
+        if m == 0:
+            return Graph(n, [])
         us, vs = np.triu_indices(n, 1)
         for _ in range(200):
             deg = [0] * n

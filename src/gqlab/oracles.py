@@ -114,6 +114,7 @@ class GraphOracle:
         self.n = graph.n
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
+        self._x_offset: int | None = None
 
     # -- classical queries ---------------------------------------------------
 
@@ -127,13 +128,7 @@ class GraphOracle:
         """Parity of the number of induced edges."""
         mask = _as_mask(self.n, subset)
         self.ledger.charge("parity_query")
-        total = 0
-        m = mask
-        while m:
-            v = (m & -m).bit_length() - 1
-            total += (self._graph.adj_bits[v] & mask).bit_count()
-            m &= m - 1
-        return (total // 2) & 1
+        return self._induced_parity(mask)
 
     def parity_vector_query(self, v: BitVector) -> BitVector:
         """Adjacency-matrix action on v, at the cost of two parity queries."""
@@ -151,31 +146,21 @@ class GraphOracle:
         return BitVector(self.n, s_bits), BitVector(self.n, self._matvec_bits(s_bits))
 
     def hadamard_sample(self) -> BitVector:
-        """All-qubits X-basis measurement outcome; consumes one state copy."""
+        """All-qubits X-basis measurement outcome; consumes one state copy.
+
+        The outcome is uniform over x0 + col(A), where x0 . b = q(b) for every
+        b in ker A and q(b) is the parity of the edges inside b (the
+        stabilizer picture of a graph state, quant-ph/0307130).
+        """
         self.ledger.charge("graph_state_copy")
-        center = self._graph.is_star()
-        if center is not None:
-            return self._hadamard_star(center)
-        return self._hadamard_brute()
-
-    def _hadamard_star(self, center: int) -> BitVector:
-        # four equiprobable outcomes: 0, e_c, 1_L, 1_L + e_c
-        leaf_mask = self._graph.adj_bits[center]
-        draw = int(self.rng.integers(4))
-        bits = 0
-        if draw & 1:
-            bits ^= 1 << center
-        if draw & 2:
-            bits ^= leaf_mask
-        return BitVector(self.n, bits)
-
-    def _hadamard_brute(self) -> BitVector:
-        from gqlab import quantum
-
-        state = quantum.build_graph_state(self._graph)
-        probs = np.abs(quantum._hadamard_all(state.amps, state.n)) ** 2
-        outcome = int(self.rng.choice(len(probs), p=probs / probs.sum()))
-        return BitVector(self.n, outcome)
+        if self._x_offset is None:
+            _, kernel = f2.solve(self._graph.adjacency(), BitVector(self.n))
+            rows = [b.bits for b in kernel]
+            q = sum(self._induced_parity(b) << i for i, b in enumerate(rows))
+            x0, _ = f2.solve(f2.BitMatrix(len(rows), self.n, rows), BitVector(len(rows), q))
+            self._x_offset = x0.bits
+        s_bits = f2.random_vector(self.n, self.rng).bits
+        return BitVector(self.n, self._x_offset ^ self._matvec_bits(s_bits))
 
     # -- Fourier sampling of the OR function -----------------------------------
 
@@ -265,6 +250,15 @@ class GraphOracle:
                 return 1
             m &= m - 1
         return 0
+
+    def _induced_parity(self, mask: int) -> int:
+        total = 0
+        m = mask
+        while m:
+            v = (m & -m).bit_length() - 1
+            total += (self._graph.adj_bits[v] & mask).bit_count()
+            m &= m - 1
+        return (total // 2) & 1
 
     def _matvec_bits(self, s_bits: int) -> int:
         out = 0

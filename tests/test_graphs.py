@@ -111,6 +111,10 @@ class TestFamilies:
             assert g.m == 25
             assert max(g.degree(v) for v in range(20)) <= 3
 
+    def test_bounded_degree_with_no_edges(self):
+        g = generate(FamilySpec("bounded_degree", 8, d=2, m=0), np.random.default_rng(0))
+        assert g == Graph(8, [])
+
     def test_fixed_edge_count_exact(self):
         for m in [0, 1, 7, 15]:
             g = generate(FamilySpec("fixed_edge_count", n=10, m=m), rng)

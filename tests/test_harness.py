@@ -293,7 +293,7 @@ GOLDEN = {
     ),
     "graphstate_star": (
         "star", [{"n": 10, "m": 3, "d": 1, "k": 2}], None,
-        "d1aa9bc6a711578c9739ee8c077341088bcca1578afd760120f86924dd4ad7ab",
+        "bbdddb7ea1a55b23b9bbe2e16f894f159ab21e4fd33fd203e637fea3de9d84ef",
     ),
     "graphstate_clique": (
         "clique", [{"n": 10, "k": 4, "d": 2, "m": 1}], None,

@@ -11,7 +11,7 @@ from gqlab import quantum
 from gqlab.errors import ScaleError
 from gqlab.f2 import BitVector, matvec
 from gqlab.fourier import maj_level_weights, maj_truth
-from gqlab.graphs import Graph
+from gqlab.graphs import Graph, enumerate_all_graphs
 from gqlab.oracles import QUERY_KINDS, GraphOracle, JuntaOracle, QueryLedger
 
 
@@ -155,38 +155,69 @@ def hadamard_reference(g):
     return np.abs(quantum._hadamard_all(state.amps, g.n)) ** 2
 
 
-def test_hadamard_star_analytic_matches_dense():
-    g = Graph(5, [(2, 0), (2, 1), (2, 4)])
-    assert g.is_star() == 2
+@pytest.mark.parametrize(
+    "n, edges, seed",
+    [
+        (5, [(2, 0), (2, 1), (2, 4)], 31),
+        (4, [(0, 1), (1, 2), (2, 3), (0, 3)], 37),
+    ],
+    ids=["star", "cycle"],
+)
+def test_hadamard_sample_matches_dense(n, edges, seed):
+    g = Graph(n, edges)
     ref = hadamard_reference(g)
-    support = {i for i in range(32) if ref[i] > 1e-12}
-    rng = np.random.default_rng(31)
+    rng = np.random.default_rng(seed)
     oracle = GraphOracle(g, rng)
-    counts = {}
-    draws = 40_000
-    for _ in range(draws):
-        z = oracle.hadamard_sample()
-        counts[z.bits] = counts.get(z.bits, 0) + 1
-    assert set(counts) <= support
-    observed = np.array([counts.get(i, 0) for i in sorted(support)])
-    expected = np.array([ref[i] * draws for i in sorted(support)])
-    assert stats.chisquare(observed, expected).pvalue > 1e-3
-    assert oracle.ledger.counts["graph_state_copy"] == draws
-
-
-def test_hadamard_brute_path_matches_dense():
-    g = Graph(4, [(0, 1), (1, 2), (2, 3), (0, 3)])  # cycle, not a star
-    assert g.is_star() is None
-    ref = hadamard_reference(g)
-    rng = np.random.default_rng(37)
-    oracle = GraphOracle(g, rng)
-    counts = np.zeros(16)
+    counts = np.zeros(1 << n)
     draws = 40_000
     for _ in range(draws):
         counts[oracle.hadamard_sample().bits] += 1
     keep = ref > 1e-12
     assert counts[~keep].sum() == 0
     assert stats.chisquare(counts[keep], ref[keep] * draws).pvalue > 1e-3
+    assert oracle.ledger.counts["graph_state_copy"] == draws
+
+
+@pytest.mark.parametrize("r", range(1, 6))
+def test_hadamard_coset_is_exact_on_all_small_graphs(r):
+    # x0 + A s over every s is the exact outcome law, not just a sample of it
+    for g in enumerate_all_graphs(r):
+        oracle = GraphOracle(g, np.random.default_rng(0))
+        oracle.hadamard_sample()
+        dist = np.zeros(1 << r)
+        for s in range(1 << r):
+            dist[oracle._x_offset ^ oracle._matvec_bits(s)] += 2.0**-r
+        np.testing.assert_allclose(dist, hadamard_reference(g), rtol=0, atol=1e-12)
+
+
+def test_hadamard_sample_past_the_statevector_cap():
+    # a disjoint union measures as a product, so each small component's
+    # marginal can be checked against its own statevector
+    rng = np.random.default_rng(67)
+    blocks, edges, start = [], [], 0
+    while start < 48:
+        size = int(rng.integers(5, 7))
+        pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        block = Graph(size, [e for e in pairs if rng.random() < 0.5])
+        blocks.append((start, block))
+        edges += [(start + u, start + v) for u, v in block.edges]
+        start += size
+    assert any(block.m and block.is_star() is None for _, block in blocks)
+    g = Graph(start, edges)
+    assert g.n > quantum.MAX_STATE_QUBITS
+    oracle = GraphOracle(g, rng)
+    draws = 4000
+    outcomes = [oracle.hadamard_sample().bits for _ in range(draws)]
+    assert oracle.ledger.counts["graph_state_copy"] == draws
+    for offset, block in blocks:
+        ref = hadamard_reference(block)
+        counts = np.zeros(1 << block.n)
+        for x in outcomes:
+            counts[(x >> offset) & ((1 << block.n) - 1)] += 1
+        keep = ref > 1e-12
+        assert counts[~keep].sum() == 0
+        if keep.sum() > 1:
+            assert stats.chisquare(counts[keep], ref[keep] * draws).pvalue > 1e-3
 
 
 # -- Fourier sampling of the OR function -------------------------------------------
