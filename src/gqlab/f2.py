@@ -21,6 +21,7 @@ __all__ = [
     "random_matrix",
     "random_vector",
     "transpose_words",
+    "xor_rows",
 ]
 
 
@@ -166,6 +167,23 @@ def transpose_words(rows: Sequence[int], ncols: int) -> list[int]:
             low = r & -r
             out[low.bit_length() - 1] |= 1 << i
             r ^= low
+    return out
+
+
+def xor_rows(masks: Iterable[int], rows: Sequence[int]) -> list[int]:
+    """Entry i is the XOR of ``rows[u]`` over the set bits u of ``masks[i]``.
+
+    With the masks as the rows of a packed matrix M and ``rows`` the rows of
+    R, this is the packed product M R.
+    """
+    out = []
+    for m in masks:
+        acc = 0
+        while m:
+            low = m & -m
+            acc ^= rows[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
     return out
 
 

@@ -94,13 +94,18 @@ def fourier_table(truth: Sequence[int], k: int) -> FourierTable:
     return FourierTable(k, coeffs)
 
 
-def level_weights_from_table(ft: FourierTable) -> np.ndarray:
-    masks = np.arange(1 << ft.k, dtype=np.uint32)
-    sizes = np.zeros(1 << ft.k, dtype=np.int64)
-    for b in range(ft.k):
+def _subset_sizes(k: int) -> np.ndarray:
+    """Entry ``mask`` is the number of set bits of mask, for every k-bit mask."""
+    masks = np.arange(1 << k, dtype=np.uint32)
+    sizes = np.zeros(1 << k, dtype=np.int64)
+    for b in range(k):
         sizes += (masks >> b) & 1
+    return sizes
+
+
+def level_weights_from_table(ft: FourierTable) -> np.ndarray:
     weights = np.zeros(ft.k + 1)
-    np.add.at(weights, sizes, ft.coeffs**2)
+    np.add.at(weights, _subset_sizes(ft.k), ft.coeffs**2)
     return weights
 
 

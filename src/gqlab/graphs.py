@@ -117,14 +117,16 @@ class Graph:
         if not lines:
             raise ValueError("empty edge list")
         n, m = (int(tok) for tok in lines[0].split())
-        edges = []
-        for ln in lines[1 : m + 1]:
+        if len(lines) - 1 != m:
+            raise ValueError("edge count does not match header")
+        edges = set()
+        for ln in lines[1:]:
             u, v = (int(tok) for tok in ln.split())
             if not u < v:
                 raise ValueError(f"edge line '{ln}' must satisfy i < j")
-            edges.append((u, v))
-        if len(edges) != m:
-            raise ValueError("edge count does not match header")
+            if (u, v) in edges:
+                raise ValueError(f"edge line '{ln}' repeats an edge")
+            edges.add((u, v))
         return cls(n, edges)
 
     def __eq__(self, other: object) -> bool:

@@ -468,8 +468,7 @@ def emit(
         lines = [",".join(CSV_COLUMNS)]
         for r in records:
             row = [r.seed, r.n, r.m, r.d, r.k]
-            row += [r.ledger.get(_CSV_COUNTERS[col], 0) for col in
-                    ("or_queries", "parity_queries", "copies", "charged_quantum")]
+            row += [r.ledger.get(counter, 0) for counter in _CSV_COUNTERS.values()]
             row += [r.success, r.ms]
             lines.append(",".join(_csv_cell(v) for v in row))
         text = "\n".join(lines) + "\n"

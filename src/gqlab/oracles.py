@@ -17,7 +17,7 @@ import numpy as np
 from gqlab import f2
 from gqlab.errors import ScaleError
 from gqlab.f2 import BitVector
-from gqlab.fourier import MAX_TABLE_VARS, _fwht, fourier_table, influence_profile
+from gqlab.fourier import _fwht, _subset_sizes, fourier_table, influence_profile
 from gqlab.graphs import Graph
 
 __all__ = ["QUERY_KINDS", "MAX_WHT_VARS", "QueryLedger", "GraphOracle", "JuntaOracle"]
@@ -135,7 +135,17 @@ class GraphOracle:
         if v.n != self.n:
             raise ValueError("vector width mismatch")
         self.ledger.charge("parity_query", 2)
-        return BitVector(self.n, self._matvec_bits(v.bits))
+        return BitVector(self.n, f2.xor_rows([v.bits], self._graph.adj_bits)[0])
+
+    def parity_block_query(self, rows: Sequence[int], k: int) -> list[int]:
+        """A B for a packed n x k block B, at the cost of two parity queries per column.
+
+        ``rows`` are B's n row words of k bits; so are the returned rows.
+        """
+        if len(rows) != self.n or any(r >> k for r in rows):
+            raise ValueError("block shape mismatch")
+        self.ledger.charge("parity_query", 2 * k)
+        return f2.xor_rows(self._graph.adj_bits, rows)
 
     # -- copy-consuming samples ------------------------------------------------
 
@@ -143,7 +153,20 @@ class GraphOracle:
         """Uniform s with y = A s; consumes two state copies."""
         self.ledger.charge("graph_state_copy", 2)
         s_bits = f2.random_vector(self.n, self.rng).bits
-        return BitVector(self.n, s_bits), BitVector(self.n, self._matvec_bits(s_bits))
+        y_bits = f2.xor_rows([s_bits], self._graph.adj_bits)[0]
+        return BitVector(self.n, s_bits), BitVector(self.n, y_bits)
+
+    def bell_samples(self, k: int) -> tuple[list[int], list[int]]:
+        """k Bell samples as packed blocks (B, A B); consumes 2k state copies.
+
+        Column i of B is the i-th uniform s, drawn in the order k
+        ``bell_sample`` calls would draw them.  Both blocks are n row words
+        of k bits.
+        """
+        self.ledger.charge("graph_state_copy", 2 * k)
+        cols = [f2.random_vector(self.n, self.rng).bits for _ in range(k)]
+        rows = f2.transpose_words(cols, self.n)
+        return rows, f2.xor_rows(self._graph.adj_bits, rows)
 
     def hadamard_sample(self) -> BitVector:
         """All-qubits X-basis measurement outcome; consumes one state copy.
@@ -160,7 +183,8 @@ class GraphOracle:
             x0, _ = f2.solve(f2.BitMatrix(len(rows), self.n, rows), BitVector(len(rows), q))
             self._x_offset = x0.bits
         s_bits = f2.random_vector(self.n, self.rng).bits
-        return BitVector(self.n, self._x_offset ^ self._matvec_bits(s_bits))
+        y_bits = f2.xor_rows([s_bits], self._graph.adj_bits)[0]
+        return BitVector(self.n, self._x_offset ^ y_bits)
 
     # -- Fourier sampling of the OR function -----------------------------------
 
@@ -235,12 +259,6 @@ class GraphOracle:
         self.ledger.charge("reveal_used")
         return self._graph
 
-    def peek_or_query(self, subset) -> int:
-        """Uncharged OR query for quantum cost models; audited as a reveal."""
-        mask = _as_mask(self.n, subset)
-        self.ledger.charge("reveal_used")
-        return self._induces_edge(mask)
-
     def _induces_edge(self, mask: int) -> int:
         adj = self._graph.adj_bits
         m = mask
@@ -259,16 +277,6 @@ class GraphOracle:
             total += (self._graph.adj_bits[v] & mask).bit_count()
             m &= m - 1
         return (total // 2) & 1
-
-    def _matvec_bits(self, s_bits: int) -> int:
-        out = 0
-        m = s_bits
-        adj = self._graph.adj_bits
-        while m:
-            v = (m & -m).bit_length() - 1
-            out ^= adj[v]
-            m &= m - 1
-        return out
 
 
 class JuntaOracle:
@@ -320,10 +328,7 @@ class JuntaOracle:
 
     @staticmethod
     def _check_symmetric(table: np.ndarray, k: int) -> bool:
-        masks = np.arange(1 << k, dtype=np.uint32)
-        sizes = np.zeros(1 << k, dtype=np.int64)
-        for b in range(k):
-            sizes += (masks >> b) & 1
+        sizes = _subset_sizes(k)
         for w in range(k + 1):
             vals = table[sizes == w]
             if len(vals) and not (vals == vals[0]).all():

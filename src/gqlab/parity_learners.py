@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from gqlab import f2
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
@@ -61,49 +61,34 @@ class SampleBatch:
         """Whether Y = A B: row v of Y is the XOR of B's rows over v's neighbors."""
         if graph.n != self.n:
             raise ValueError("graph width does not match the batch")
-        rows_b = self.B.rows
-        for y, adj in zip(self.Y.rows, graph.adj_bits):
-            while adj:
-                low = adj & -adj
-                y ^= rows_b[low.bit_length() - 1]
-                adj ^= low
-            if y:
-                return False
-        return True
+        return tuple(f2.xor_rows(graph.adj_bits, self.B.rows)) == self.Y.rows
 
 
 def collect_samples(
-    sampler: Callable[[], tuple[BitVector, BitVector]],
+    h: GraphOracle,
     count: int,
     extend: SampleBatch | None = None,
+    parity: bool = False,
 ) -> SampleBatch:
-    """Draw ``count`` samples, optionally appending to an existing batch."""
-    if extend is not None:
-        n = extend.n
-        base_k = extend.k
-        rows_b = list(extend.B.rows)
-        rows_y = list(extend.Y.rows)
+    """Draw ``count`` samples as one block, optionally appended to a batch.
+
+    Bell samples by default.  With ``parity`` the learner draws each s and
+    reads A s with two parity queries instead of two state copies.
+    """
+    if parity:
+        cols = [f2.random_vector(h.n, h.rng).bits for _ in range(count)]
+        rows_b = f2.transpose_words(cols, h.n)
+        rows_y = h.parity_block_query(rows_b, count)
     else:
-        n = None
-        base_k = 0
-        rows_b = rows_y = []
-    for i in range(count):
-        s, y = sampler()
-        if n is None:
-            n = s.n
-            rows_b = [0] * n
-            rows_y = [0] * n
-        bit = 1 << (base_k + i)
-        for v in s.support():
-            rows_b[v] |= bit
-        for v in y.support():
-            rows_y[v] |= bit
-    if n is None:
-        raise ValueError("cannot infer width from zero samples")
-    k = base_k + count
-    return SampleBatch(
-        BitMatrix(n, k, tuple(rows_b)), BitMatrix(n, k, tuple(rows_y))
-    )
+        rows_b, rows_y = h.bell_samples(count)
+    k = count
+    if extend is not None:
+        if extend.n != h.n:
+            raise ValueError("batch width does not match the oracle")
+        rows_b = [old | new << extend.k for old, new in zip(extend.B.rows, rows_b)]
+        rows_y = [old | new << extend.k for old, new in zip(extend.Y.rows, rows_y)]
+        k += extend.k
+    return SampleBatch(BitMatrix(h.n, k, rows_b), BitMatrix(h.n, k, rows_y))
 
 
 # -- finite family -----------------------------------------------------------------
@@ -131,7 +116,7 @@ def learn_from_family(
         k = math.ceil(2 * math.log2(len(members))) + 7
     if k < 1:
         raise ValueError("need at least one sample for a non-singleton family")
-    batch = collect_samples(h.bell_sample, k)
+    batch = collect_samples(h, k)
     survivors = [g for g in members if batch.audit(g)]
     if len(survivors) != 1:
         raise AmbiguityError(
@@ -224,11 +209,10 @@ def _row_supports(
 def learn_bounded_degree(
     h: GraphOracle,
     d: int,
-    n: int | None = None,
     m_hint: int | None = None,
     slack: int = 7,
     phase2_k: int | None = None,
-    _sampler: Callable[[], tuple[BitVector, BitVector]] | None = None,
+    _parity: bool = False,
 ) -> BoundedDegreeResult:
     """Per-vertex neighbor recovery for rows of weight at most d.
 
@@ -243,30 +227,23 @@ def learn_bounded_degree(
     1988).  It refuses when C(n', <=d) exceeds the candidate cap.
 
     With d above n/4 the sparse search loses its edge; the full row readout
-    is used instead and rows wider than d are marked over-degree.
+    is used instead and rows wider than d are marked over-degree.  With
+    ``_parity`` each sample costs two parity queries instead of two state
+    copies, and the full readout is never used: wide rows are left to the
+    caller.
     """
-    if n is None:
-        n = h.n
-    if n != h.n:
-        raise ValueError("n does not match the oracle")
+    n = h.n
     if d < 1:
         raise ValueError("degree bound must be positive")
-    sampler = _sampler if _sampler is not None else h.bell_sample
-    if d > n / 4 and _sampler is None:
+    if d > n / 4 and not _parity:
         full = learn_arbitrary_parity(h)
-        neighbors = {}
-        over = set()
-        for v in range(n):
-            row = frozenset(full.neighbors(v))
-            if len(row) > d:
-                over.add(v)
-            else:
-                neighbors[v] = row
-        return BoundedDegreeResult(n, d, neighbors, frozenset(over), 0)
+        over = frozenset(v for v in range(n) if full.degree(v) > d)
+        neighbors = {v: frozenset(full.neighbors(v)) for v in range(n) if v not in over}
+        return BoundedDegreeResult(n, d, neighbors, over, 0)
 
     m_guess = m_hint if m_hint is not None else n * (n - 1) // 2
     l = math.ceil(math.log2(max(m_guess, 2))) + slack
-    batch = collect_samples(sampler, l)
+    batch = collect_samples(h, l, parity=_parity)
     nonzero = [v for v in range(n) if batch.Y.rows[v] != 0]
     neighbors: dict[int, frozenset[int]] = {
         v: frozenset() for v in range(n) if batch.Y.rows[v] == 0
@@ -277,7 +254,7 @@ def learn_bounded_degree(
     nprime = len(nonzero)
     if phase2_k is None:
         phase2_k = max(1, math.ceil(d * math.log2(max(2.0, nprime / d)))) + slack
-    batch = collect_samples(sampler, phase2_k, extend=batch)
+    batch = collect_samples(h, phase2_k, extend=batch, parity=_parity)
 
     total = _enumeration_size(nprime, d)
     if total > ENUMERATION_CAP:
@@ -330,12 +307,12 @@ def learn_subgraph_of(
         return Graph(n, [])
 
     k = d + math.ceil(math.log2(max(n, 2))) + slack
-    batch = collect_samples(h.bell_sample, k)
+    batch = collect_samples(h, k)
     rows: dict[int, frozenset[int]] = {}
     pending = list(range(n))
     for round_idx in range(retry_rounds + 1):
         if round_idx:
-            batch = collect_samples(h.bell_sample, 8, extend=batch)
+            batch = collect_samples(h, 8, extend=batch)
         still = []
         for v in pending:
             cand = candidates[v]
@@ -382,23 +359,15 @@ def learn_bounded_edges_parity(
     """
     if m < 0:
         raise ValueError("edge bound must be nonnegative")
-    n = h.n
     d = max(1, math.ceil(math.sqrt(m / math.log2(m + 2))))
-
-    def sampler():
-        s = f2.random_vector(n, h.rng)
-        return s, h.parity_vector_query(s)
-
-    result = learn_bounded_degree(
-        h, d, m_hint=max(m, 1), slack=slack, _sampler=sampler
-    )
+    result = learn_bounded_degree(h, d, m_hint=max(m, 1), slack=slack, _parity=True)
     rows = dict(result.neighbors)
     for v in sorted(result.over_degree):
-        row = h.parity_vector_query(BitVector.basis(n, v))
+        row = h.parity_vector_query(BitVector.basis(h.n, v))
         rows[v] = frozenset(row.support())
     # exact rows are complete, so a true claim is always reciprocated; an
     # unreciprocated one exposes a wrong sparse row
-    graph = _assemble(n, rows)
+    graph = _assemble(h.n, rows)
     if graph.m > m:
         raise ViolationError(f"{graph.m} edges exceed the promise {m}")
     return graph
@@ -407,14 +376,11 @@ def learn_bounded_edges_parity(
 # -- unrestricted parity -------------------------------------------------------------------
 
 
-def learn_arbitrary_parity(h: GraphOracle, n: int | None = None) -> Graph:
-    """Read the adjacency matrix column by column: 2n parity queries flat."""
-    if n is None:
-        n = h.n
-    if n != h.n:
-        raise ValueError("n does not match the oracle")
-    rows = [h.parity_vector_query(BitVector.basis(n, i)).bits for i in range(n)]
-    if list(f2.transpose_words(tuple(rows), n)) != rows:
+def learn_arbitrary_parity(h: GraphOracle) -> Graph:
+    """Read the adjacency matrix as A I, one block of n columns: 2n parity queries flat."""
+    n = h.n
+    rows = h.parity_block_query([1 << i for i in range(n)], n)
+    if f2.transpose_words(rows, n) != rows:
         raise AmbiguityError("oracle returned an asymmetric matrix")
     edges = []
     for i in range(n):

@@ -18,6 +18,7 @@ from gqlab.f2 import (
     rank,
     solve,
     transpose_words,
+    xor_rows,
 )
 
 
@@ -73,6 +74,18 @@ class TestMatvec:
             vec = random_vector(c, rng)
             expect = entrywise_matvec(as_lists(mat), [vec.get(j) for j in range(c)])
             assert matvec(mat, vec) == BitVector.from_bits(expect)
+
+    def test_xor_rows_is_the_packed_product(self):
+        # column j of M R is M times column j of R
+        rng = np.random.default_rng(13)
+        for _ in range(200):
+            r, c, w = (int(x) for x in rng.integers(1, 70, size=3))
+            mat = random_matrix(r, c, rng)
+            right = random_matrix(c, w, rng)
+            product = BitMatrix(r, w, xor_rows(mat.rows, right.rows))
+            for j in range(w):
+                assert product.column(j) == matvec(mat, right.column(j))
+        assert xor_rows([], [1, 2]) == []
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.data())
     @settings(max_examples=60, deadline=None)

@@ -70,6 +70,14 @@ class TestEdgeListText:
         with pytest.raises(ValueError):
             Graph.from_edge_list_text("3 1\n2 1\n")
 
+    def test_rejects_edges_past_the_header_count(self):
+        with pytest.raises(ValueError):
+            Graph.from_edge_list_text("3 1\n0 1\n1 2\n")
+
+    def test_rejects_repeated_edge(self):
+        with pytest.raises(ValueError):
+            Graph.from_edge_list_text("3 2\n0 1\n0 1\n")
+
 
 class TestFamilies:
     def test_matching_profile(self):

@@ -42,7 +42,7 @@ def random_graph(n, m, rng):
 def test_collected_batch_passes_audit():
     g = Graph(6, [(0, 1), (1, 2), (3, 5)])
     h = make_oracle(g, seed=3)
-    batch = collect_samples(h.bell_sample, 12)
+    batch = collect_samples(h, 12)
     assert batch.n == 6 and batch.k == 12
     assert batch.audit(g)
     assert not batch.audit(Graph(6, [(0, 1)]))
@@ -51,14 +51,28 @@ def test_collected_batch_passes_audit():
 def test_batch_extension_appends_columns():
     g = Graph(5, [(0, 4), (2, 3)])
     h = make_oracle(g, seed=9)
-    first = collect_samples(h.bell_sample, 4)
-    grown = collect_samples(h.bell_sample, 5, extend=first)
+    first = collect_samples(h, 4)
+    grown = collect_samples(h, 5, extend=first)
     assert grown.k == 9
     # the original columns survive verbatim
     for i in range(4):
         assert grown.B.column(i) == first.B.column(i)
         assert grown.Y.column(i) == first.Y.column(i)
     assert grown.audit(g)
+
+
+def test_parity_batch_charges_parity_queries_only():
+    g = Graph(7, [(0, 6), (1, 2), (2, 5), (3, 4)])
+    ledger = QueryLedger()
+    h = make_oracle(g, seed=11, ledger=ledger)
+    batch = collect_samples(h, 10, parity=True)
+    assert batch.n == 7 and batch.k == 10
+    assert batch.audit(g)
+    assert ledger.counts["parity_query"] == 20
+    assert ledger.counts["graph_state_copy"] == 0
+    grown = collect_samples(h, 3, extend=batch, parity=True)
+    assert grown.k == 13 and grown.audit(g)
+    assert ledger.counts["parity_query"] == 26
 
 
 # -- finite families -------------------------------------------------------------
@@ -237,8 +251,6 @@ def test_bounded_degree_rejects_bad_arguments():
     h = make_oracle(Graph(6, []), seed=0)
     with pytest.raises(ValueError):
         learn_bounded_degree(h, d=0)
-    with pytest.raises(ValueError):
-        learn_bounded_degree(h, d=2, n=7)
 
 
 # -- subgraph of a known graph -------------------------------------------------------
