@@ -1,17 +1,20 @@
 """Group testing: adaptive search with classical and quantum cost models,
 and nonadaptive designs with certified decoding.
 
-The adaptive solver only needs a membership test on subsets of an arbitrary
-universe.  Quantum backends compute the same answer by running the classical
-search with ledger charging paused, then bill the amplified-search cost model
-to the quantum counter; the suppressed charges stay visible for audits.
+The adaptive solver only needs a membership test on subsets of a universe of
+int item ids, each subset passed as an int mask with one bit per item.
+Quantum backends compute the same answer by running the classical search
+with ledger charging paused, then bill the amplified-search cost model to
+the quantum counter; the suppressed charges stay visible for audits.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
+from itertools import accumulate, combinations
 from typing import Callable, Sequence
 
 import numpy as np
@@ -32,33 +35,30 @@ __all__ = [
 BACKENDS = ("classical_adaptive", "quantum_ideal", "quantum_time_efficient")
 
 
-def _find_one(region: list, test: Callable[[Sequence], bool]) -> object:
-    """Binary-search one positive inside a region known to contain one.
-
-    Only left halves are queried; a negative left half puts the positive in
-    the right half for free.
-    """
-    while len(region) > 1:
-        mid = len(region) // 2
-        left = region[:mid]
-        if test(left):
-            region = left
-        else:
-            region = region[mid:]
-    return region[0]
-
-
-def _adaptive_search(universe: Sequence, test, k: int | None) -> frozenset:
-    found: list = []
-    remaining = list(universe)
-    while remaining:
-        if not test(remaining):
+def _adaptive_search(universe: Sequence[int], test, k: int | None) -> frozenset:
+    """Binary-search the unfound items, in universe order, for one positive
+    at a time; a negative left half puts the positive in the right half."""
+    bits = [1 << operator.index(x) for x in universe]
+    # prefix[j] is the mask of the first j unfound items, so items lo..hi-1
+    # are prefix[hi] ^ prefix[lo]; a find changes only the entries after it
+    prefix = list(accumulate(bits, operator.or_, initial=0))
+    if prefix[-1].bit_count() != len(bits):
+        raise ValueError("universe items must be distinct")
+    found: list[int] = []
+    while bits:
+        if not test(prefix[-1]):
             return frozenset(found)
         if k is not None and len(found) == k:
             raise ViolationError(f"more than {k} positives present")
-        x = _find_one(remaining, test)
-        found.append(x)
-        remaining.remove(x)
+        lo, hi = 0, len(bits)
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if test(prefix[mid] ^ prefix[lo]):
+                hi = mid
+            else:
+                lo = mid
+        found.append(bits.pop(lo).bit_length() - 1)
+        prefix[lo:] = accumulate(bits[lo:], operator.or_, initial=prefix[lo])
     return frozenset(found)
 
 
@@ -80,8 +80,8 @@ def _doubling_charge(found: int, c: float, time_efficient: bool) -> int:
 
 
 def cgt_solve(
-    universe: Sequence,
-    test: Callable[[Sequence], bool],
+    universe: Sequence[int],
+    test: Callable[[int], bool],
     k: int | None = None,
     backend: str = "classical_adaptive",
     c: float = 1.0,
@@ -89,11 +89,12 @@ def cgt_solve(
 ) -> frozenset:
     """Identify every positive item, spending queries per the chosen backend.
 
-    ``test`` takes a list of items and reports whether it contains a
-    positive; callers route it through their charged oracle.  ``k``, when
-    given, is a promise on the positive count: the solver still verifies and
-    raises if the promise undercounts.  Quantum backends require the ledger
-    that ``test`` charges into.
+    ``universe`` holds distinct nonnegative int item ids.  ``test`` takes an
+    int mask whose set bits are item ids and reports whether that subset
+    contains a positive; callers route it through their charged oracle.
+    ``k``, when given, is a promise on the positive count: the solver still
+    verifies and raises if the promise undercounts.  Quantum backends
+    require the ledger that ``test`` charges into.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -165,8 +166,6 @@ def _is_disjunct(columns: list[frozenset[int]], d: int, rng, exhaustive_limit: i
     """Check d-disjunctness: no column is covered by any d others."""
     n = len(columns)
     if n <= exhaustive_limit:
-        from itertools import combinations
-
         for x in range(n):
             others = [i for i in range(n) if i != x]
             for group in combinations(others, min(d, len(others))):

@@ -30,7 +30,6 @@ FAMILY_KINDS = (
     "clique",
     "bounded_degree",
     "fixed_edge_count",
-    "subgraph_of",
     "two_clique_adversary",
 )
 
@@ -148,9 +147,9 @@ class FamilySpec:
     """Parameters for one hidden-graph family.
 
     kind-specific fields: ``k`` is the support/structure size (clique or
-    cycle vertices), ``m`` an edge count, ``d`` a degree bound, ``base`` the
-    known supergraph for subgraph families.  ``two_clique_adversary`` uses
-    ``k`` as the per-side clique size and requires ``n == 2k``.
+    cycle vertices), ``m`` an edge count, ``d`` a degree bound.
+    ``two_clique_adversary`` uses ``k`` as the per-side clique size and
+    requires ``n == 2k``.
     """
 
     kind: str
@@ -158,7 +157,6 @@ class FamilySpec:
     k: int | None = None
     m: int | None = None
     d: int | None = None
-    base: Graph | None = None
 
     def __post_init__(self):
         if self.kind not in FAMILY_KINDS:
@@ -240,12 +238,6 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
             raise ValueError("m exceeds the number of vertex pairs")
         picks = rng.choice(len(us), size=spec.m, replace=False)
         return Graph(n, zip(us[picks].tolist(), vs[picks].tolist()))
-
-    if kind == "subgraph_of":
-        if spec.base is None or spec.base.n != n:
-            raise ValueError("subgraph_of needs a base graph on the same n")
-        keep = [e for e in sorted(spec.base.edges) if rng.random() < 0.5]
-        return Graph(n, keep)
 
     if kind == "two_clique_adversary":
         if spec.k is None or spec.k < 1 or n != 2 * spec.k:

@@ -19,8 +19,8 @@ Family names accepted per learner:
 
 from __future__ import annotations
 
+import functools
 import json
-import math
 import os
 import statistics
 import time
@@ -182,23 +182,27 @@ def _matching_union(n: int, layers: int, rng) -> Graph:
     return Graph(n, sorted(edges))
 
 
+@functools.cache
+def _small_graphs(r: int, n: int) -> tuple[Graph, ...]:
+    return tuple(enumerate_all_graphs(r, n))
+
+
 def _instance(family: str, point: dict, rng, ledger: QueryLedger):
     """Draw one hidden object; returns ``(oracle, hidden, side)``.
 
     ``side`` is what the learner is told besides the oracle: the candidate
-    list for ``all_small_graphs``, the known supergraph for
+    tuple for ``all_small_graphs``, the known supergraph for
     ``matching_union``, the ledger billed by group testing for
     ``defect_set``, and None otherwise.
     """
     n = point["n"]
     if family == "defect_set":
-        hidden = frozenset(
-            int(v) for v in rng.choice(n, size=point["k"], replace=False)
-        )
+        hidden = frozenset(rng.choice(n, size=point["k"], replace=False).tolist())
+        hidden_mask = sum(1 << v for v in hidden)
 
         def test(items):
             ledger.charge("or_query")
-            return any(i in hidden for i in items)
+            return items & hidden_mask != 0
 
         return test, hidden, ledger
     if family == "majority_junta":
@@ -210,7 +214,7 @@ def _instance(family: str, point: dict, rng, ledger: QueryLedger):
         return oracle, frozenset(support), None
     side = None
     if family == "all_small_graphs":
-        side = enumerate_all_graphs(point["r"], n)
+        side = _small_graphs(point["r"], n)
         hidden = side[int(rng.integers(len(side)))]
     elif family == "matching_union":
         side = _matching_union(n, point["d"], rng)

@@ -16,6 +16,7 @@ from typing import Sequence
 
 from gqlab.cgt import binary_indexing_design, build_nonadaptive_design, cgt_solve, decode
 from gqlab.errors import DecodeError, RetryBudgetError, ViolationError
+from gqlab.f2 import BitVector
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
@@ -49,16 +50,16 @@ def find_nonisolated(
     independence recheck, the cheap place to catch a broken contract.
     """
     side = list(side)
-    other = list(other)
-    if not side or not other:
+    other_mask = BitVector.from_support(other, oracle.n).bits
+    if not side or not other_mask:
         return frozenset()
 
     def test(subset):
-        return oracle.or_query(list(subset) + other) == 1
+        return oracle.or_query(subset | other_mask) == 1
 
     found = cgt_solve(side, test, backend=backend, c=c, ledger=oracle.ledger)
     if len(found) == len(side):
-        if oracle.or_query(other) or oracle.or_query(side):
+        if oracle.or_query(other_mask) or oracle.or_query(side):
             raise ViolationError("a queried side is not an independent set")
     return found
 
@@ -85,8 +86,8 @@ def learn_bipartite_edges(
     actives = find_nonisolated(oracle, a_side, b_side, backend=backend, c=c)
     edges = []
     for a in sorted(actives):
-        def test(subset, _a=a):
-            return oracle.or_query([_a] + list(subset)) == 1
+        def test(subset, _bit=1 << a):
+            return oracle.or_query(subset | _bit) == 1
 
         hits = cgt_solve(b_side, test, backend=backend, c=c, ledger=oracle.ledger)
         if not hits:
@@ -120,19 +121,19 @@ def learn_bipartite_bounded_degree(
             _norm(a, b)
             for a in a_side
             for b in b_side
-            if oracle.or_query([a, b]) == 1
+            if oracle.or_query(1 << a | 1 << b) == 1
         ]
     if design is None:
         if d == 1:
             design = binary_indexing_design(len(b_side))
         else:
             design = build_nonadaptive_design(len(b_side), d, oracle.rng)
+    test_masks = [BitVector.from_support([b_side[i] for i in t], oracle.n).bits
+                  for t in design.tests]
     edges = []
     for a in a_side:
-        outcomes = [
-            oracle.or_query([a] + [b_side[i] for i in sorted(t)])
-            for t in design.tests
-        ]
+        bit = 1 << a
+        outcomes = [oracle.or_query(bit | t) for t in test_masks]
         try:
             hits = decode(design, outcomes)
         except DecodeError as exc:
@@ -334,8 +335,8 @@ def learn_clique_or(
 
     rest = [v for v in range(n) if v != anchor]
 
-    def test(subset):
-        return oracle.or_query([anchor] + list(subset)) == 1
+    def test(subset, _bit=1 << anchor):
+        return oracle.or_query(subset | _bit) == 1
 
     others = cgt_solve(rest, test, k=k - 1, backend=backend, c=c, ledger=oracle.ledger)
     if len(others) != k - 1:
@@ -389,8 +390,8 @@ def learn_star_or(
     else:
         raise RetryBudgetError(f"no verified center in {rounds_cap} rounds")
 
-    def test(subset):
-        return oracle.or_query([candidate] + list(subset)) == 1
+    def test(subset, _bit=1 << candidate):
+        return oracle.or_query(subset | _bit) == 1
 
     leaves = cgt_solve(others, test, backend=backend, c=c, ledger=oracle.ledger)
     if not leaves:

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from contextlib import contextmanager
+from functools import reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -94,16 +96,15 @@ class QueryLedger:
 
 
 def _as_mask(n: int, subset) -> int:
+    if isinstance(subset, int):
+        if subset < 0 or subset >> n:
+            raise ValueError("mask has bits outside the vertex range")
+        return subset
     if isinstance(subset, BitVector):
         if subset.n != n:
             raise ValueError("subset width mismatch")
         return subset.bits
-    mask = 0
-    for v in subset:
-        if not 0 <= v < n:
-            raise ValueError(f"vertex {v} out of range")
-        mask |= 1 << v
-    return mask
+    return BitVector.from_support(subset, n).bits
 
 
 class GraphOracle:
@@ -115,11 +116,14 @@ class GraphOracle:
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._x_offset: int | None = None
+        # the non-isolated vertices; no other vertex can add an induced edge
+        self._touched = reduce(operator.or_, graph.adj_bits, 0)
 
     # -- classical queries ---------------------------------------------------
 
     def or_query(self, subset) -> int:
-        """1 iff the subset induces at least one edge."""
+        """1 iff the subset (an int mask over vertex ids, a BitVector or a vertex
+        iterable) induces an edge; mask bits outside 0..n-1 raise before charging."""
         mask = _as_mask(self.n, subset)
         self.ledger.charge("or_query")
         return self._induces_edge(mask)
@@ -261,20 +265,20 @@ class GraphOracle:
 
     def _induces_edge(self, mask: int) -> int:
         adj = self._graph.adj_bits
-        m = mask
+        m = live = mask & self._touched
         while m:
             v = (m & -m).bit_length() - 1
-            if adj[v] & mask:
+            if adj[v] & live:
                 return 1
             m &= m - 1
         return 0
 
     def _induced_parity(self, mask: int) -> int:
+        m = live = mask & self._touched
         total = 0
-        m = mask
         while m:
             v = (m & -m).bit_length() - 1
-            total += (self._graph.adj_bits[v] & mask).bit_count()
+            total += (self._graph.adj_bits[v] & live).bit_count()
             m &= m - 1
         return (total // 2) & 1
 

@@ -20,13 +20,16 @@ from gqlab.oracles import QueryLedger
 
 
 def make_test(hidden, ledger=None):
+    """A membership test on int masks that logs each queried subset as the
+    sorted list of its items."""
     hidden = set(hidden)
     log = []
 
-    def test(subset):
+    def test(mask):
         if ledger is not None:
             ledger.charge("or_query")
-        log.append(list(subset))
+        subset = [i for i in range(mask.bit_length()) if mask >> i & 1]
+        log.append(subset)
         return bool(hidden & set(subset))
 
     return test, log
@@ -76,6 +79,78 @@ def test_adaptive_exactness(n, raw_hidden):
     test, log = make_test(hidden)
     assert cgt_solve(list(range(n)), test) == hidden
     assert len(log) <= adaptive_query_bound(n, len(hidden))
+
+
+def _reference_find_one(region, test):
+    # the list-based search the mask-based solver must reproduce query for query
+    while len(region) > 1:
+        mid = len(region) // 2
+        left = region[:mid]
+        if test(left):
+            region = left
+        else:
+            region = region[mid:]
+    return region[0]
+
+
+def _reference_adaptive_search(universe, test, k):
+    found = []
+    remaining = list(universe)
+    while remaining:
+        if not test(remaining):
+            return frozenset(found)
+        if k is not None and len(found) == k:
+            raise ViolationError(f"more than {k} positives present")
+        x = _reference_find_one(remaining, test)
+        found.append(x)
+        remaining.remove(x)
+    return frozenset(found)
+
+
+def _outcome(solve, log):
+    try:
+        return "ok", solve(), log
+    except ViolationError:
+        return "violation", None, log
+
+
+# Answer rules on the queried set: group-testing membership, the
+# two-positive rule an OR test follows when the searched side has internal
+# edges, and an arbitrary deterministic rule that breaks every promise.
+_RULES = {
+    "member": lambda items, hidden: bool(items & hidden),
+    "pair": lambda items, hidden: len(items & hidden) >= 2,
+    "arbitrary": lambda items, hidden: (sum(items) * 2654435761) % 7 < 3,
+}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_cgt_mask_queries_match_list_reference(data):
+    universe = data.draw(
+        st.lists(st.integers(min_value=0, max_value=90), unique=True, max_size=40)
+    )
+    hidden = frozenset()
+    if universe:
+        hidden = frozenset(data.draw(st.sets(st.sampled_from(universe))))
+    k = data.draw(st.none() | st.integers(min_value=0, max_value=len(universe) + 1))
+    rule = _RULES[data.draw(st.sampled_from(sorted(_RULES)))]
+
+    ref_log = []
+
+    def ref_test(items):
+        ref_log.append(frozenset(items))
+        return rule(ref_log[-1], hidden)
+
+    new_log = []
+
+    def new_test(mask):
+        new_log.append(frozenset(i for i in range(mask.bit_length()) if mask >> i & 1))
+        return rule(new_log[-1], hidden)
+
+    expected = _outcome(lambda: _reference_adaptive_search(universe, ref_test, k), ref_log)
+    got = _outcome(lambda: cgt_solve(universe, new_test, k=k), new_log)
+    assert got == expected
 
 
 def test_known_k_violation_detected():

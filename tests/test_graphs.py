@@ -128,12 +128,6 @@ class TestFamilies:
             g = generate(FamilySpec("fixed_edge_count", n=10, m=m), rng)
             assert g.m == m
 
-    def test_subgraph_of_stays_inside_base(self):
-        base = generate(FamilySpec("fixed_edge_count", n=12, m=20), rng)
-        for _ in range(30):
-            g = generate(FamilySpec("subgraph_of", n=12, base=base), rng)
-            assert g.edges <= base.edges
-
     def test_support_is_uniform(self):
         # every vertex should appear in the clique support about k/n of the time
         counts = np.zeros(10)

@@ -354,6 +354,27 @@ def test_bounded_degree_preset_csv_is_pinned(preset, tmp_path):
     assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_GOLDEN[preset]
 
 
+# The OR-query presets cut to 10 trials per point: star learning, the
+# two-clique adversary and quantum group testing (preset -> sha256 of the CSV).
+OR_PRESET_GOLDEN = {
+    "sweep_star_or":
+        "6a2365d1e4d13d3c0db96341309f6032a84c367dc81b53fb4ef7560c0fab4f0b",
+    "adversary_or":
+        "cb0b48f691aaece4f0690735ede20c91d6ce475b955ffd4a63af0983b39a92bd",
+    "cgt_quantum_doubling":
+        "9d0d3deb3bf7e80923c96a45b903e3b8c5dddf5ded629ff9116fd2cc01a61d13",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(OR_PRESET_GOLDEN))
+def test_or_preset_csv_is_pinned(preset, tmp_path):
+    text = (Path(__file__).parents[1] / "scripts" / f"{preset}.json").read_text()
+    cfg = dataclasses.replace(config_from_json(text), trials=10)
+    path = tmp_path / f"{preset}.csv"
+    emit(run(cfg)[0], str(path))
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == OR_PRESET_GOLDEN[preset]
+
+
 # -- trials that raise or cheat ----------------------------------------------------
 
 

@@ -80,6 +80,31 @@ def test_or_and_parity_match_direct_counting():
     assert oracle.ledger.counts["parity_query"] == 20
 
 
+def test_or_query_on_masks_matches_brute_force():
+    rng = np.random.default_rng(29)
+    for _ in range(60):
+        n = int(rng.integers(2, 140))
+        # edges on a small support leave most vertices isolated
+        support = [int(v) for v in rng.choice(n, size=min(n, 8), replace=False)]
+        pairs = [(u, v) for i, u in enumerate(support) for v in support[i + 1:]]
+        picks = rng.choice(len(pairs), size=int(rng.integers(0, len(pairs) + 1)), replace=False)
+        g = Graph(n, [pairs[int(i)] for i in picks])
+        oracle = GraphOracle(g, rng)
+        for _ in range(20):
+            mask = int.from_bytes(rng.bytes((n + 7) // 8), "little") & ((1 << n) - 1)
+            subset = [v for v in range(n) if (mask >> v) & 1]
+            cnt = count_induced(g, subset)
+            assert oracle.or_query(mask) == (1 if cnt else 0)
+            assert oracle.parity_query(mask) == cnt % 2
+        before = oracle.ledger.snapshot()
+        for bad in (-1, 1 << n, (1 << (n + 1)) - 1):
+            with pytest.raises(ValueError):
+                oracle.or_query(bad)
+            with pytest.raises(ValueError):
+                oracle.parity_query(bad)
+        assert oracle.ledger.snapshot() == before
+
+
 def test_queries_accept_bitvectors_and_reject_bad_vertices():
     g = Graph(4, [(0, 1)])
     oracle = GraphOracle(g, np.random.default_rng(0))
