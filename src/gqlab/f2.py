@@ -18,6 +18,7 @@ __all__ = [
     "matvec",
     "solve",
     "rank",
+    "random_block",
     "random_matrix",
     "random_vector",
     "transpose_words",
@@ -82,11 +83,6 @@ class BitVector:
             b ^= low
         return out
 
-    def dot(self, other: "BitVector") -> int:
-        if other.n != self.n:
-            raise ValueError("length mismatch")
-        return (self.bits & other.bits).bit_count() & 1
-
     def __xor__(self, other: "BitVector") -> "BitVector":
         if other.n != self.n:
             raise ValueError("length mismatch")
@@ -126,10 +122,6 @@ class BitMatrix:
     def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
         return cls(nrows, ncols, [0] * nrows)
 
-    @classmethod
-    def identity(cls, n: int) -> "BitMatrix":
-        return cls(n, n, [1 << i for i in range(n)])
-
     def row(self, i: int) -> BitVector:
         return BitVector(self.ncols, self.rows[i])
 
@@ -138,11 +130,6 @@ class BitMatrix:
         for i, r in enumerate(self.rows):
             bits |= ((r >> j) & 1) << i
         return BitVector(self.nrows, bits)
-
-    def transpose(self) -> "BitMatrix":
-        return BitMatrix(
-            self.ncols, self.nrows, transpose_words(self.rows, self.ncols)
-        )
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -267,6 +254,22 @@ def random_vector(n: int, rng: np.random.Generator) -> BitVector:
         return BitVector(0, 0)
     raw = int.from_bytes(rng.bytes((n + 7) // 8), "little")
     return BitVector(n, raw & _mask(n))
+
+
+def random_block(n: int, k: int, rng: np.random.Generator) -> list[int]:
+    """n packed row words of k bits; column i is the i-th of k ``random_vector`` draws.
+
+    ``rng.bytes(nb)`` reads ceil(nb/4) uint32 words and keeps their first nb
+    little-endian bytes, so one ``integers`` call of k such rows leaves the
+    same columns and the same generator state as k sequential draws.
+    """
+    nb = (n + 7) // 8
+    words = rng.integers(0, 1 << 32, size=(k, (nb + 3) // 4), dtype=np.uint32)
+    raw = words.astype("<u4", copy=False).view(np.uint8)[:, :nb]
+    cols = np.unpackbits(raw, axis=1, count=n, bitorder="little")
+    packed = np.packbits(cols.T, axis=1, bitorder="little").tobytes()
+    w = (k + 7) // 8
+    return [int.from_bytes(packed[i * w:(i + 1) * w], "little") for i in range(n)]
 
 
 def random_matrix(nrows: int, ncols: int, rng: np.random.Generator) -> BitMatrix:

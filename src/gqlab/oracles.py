@@ -163,13 +163,12 @@ class GraphOracle:
     def bell_samples(self, k: int) -> tuple[list[int], list[int]]:
         """k Bell samples as packed blocks (B, A B); consumes 2k state copies.
 
-        Column i of B is the i-th uniform s, drawn in the order k
-        ``bell_sample`` calls would draw them.  Both blocks are n row words
-        of k bits.
+        Column i of B is the i-th uniform s, the one the i-th of k
+        ``bell_sample`` calls would draw (``f2.random_block``).  Both blocks
+        are n row words of k bits.
         """
         self.ledger.charge("graph_state_copy", 2 * k)
-        cols = [f2.random_vector(self.n, self.rng).bits for _ in range(k)]
-        rows = f2.transpose_words(cols, self.n)
+        rows = f2.random_block(self.n, k, self.rng)
         return rows, f2.xor_rows(self._graph.adj_bits, rows)
 
     def hadamard_sample(self) -> BitVector:

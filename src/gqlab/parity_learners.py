@@ -76,8 +76,7 @@ def collect_samples(
     reads A s with two parity queries instead of two state copies.
     """
     if parity:
-        cols = [f2.random_vector(h.n, h.rng).bits for _ in range(count)]
-        rows_b = f2.transpose_words(cols, h.n)
+        rows_b = f2.random_block(h.n, count, h.rng)
         rows_y = h.parity_block_query(rows_b, count)
     else:
         rows_b, rows_y = h.bell_samples(count)
@@ -274,9 +273,8 @@ def learn_bounded_degree(
             over.add(v)
         else:
             (mask,) = found
-            neighbors[v] = frozenset(
-                u for j, u in enumerate(nonzero) if mask >> j & 1
-            )
+            support = BitVector(nprime, mask).support()
+            neighbors[v] = frozenset(nonzero[j] for j in support)
     return BoundedDegreeResult(n, d, neighbors, frozenset(over), batch.k)
 
 

@@ -139,19 +139,19 @@ def bell_distribution(psi: Statevector) -> list[PauliOutcome]:
     if n > MAX_BELL_QUBITS:
         raise ScaleError(f"bell_distribution capped at {MAX_BELL_QUBITS} qubits")
     idx = np.arange(1 << n, dtype=np.uint64)
-    conj = np.conj(psi.amps)
     bra = np.conj(psi.amps)
+    # signs[z, j] = (-1)^(z . j); row z, read at the flipped index i ^ x, is
+    # the Z part of sigma acting on |i>
+    signs = 1.0 - 2.0 * _bit_parity(idx[:, None] & idx[None, :])
     out = []
     scale = 1.0 / (1 << n)
     for x_mask in range(1 << n):
         flipped = (idx ^ np.uint64(x_mask)).astype(np.int64)
-        permuted = conj[flipped]
+        terms = signs[:, flipped] * (bra * bra[flipped])
         for z_mask in range(1 << n):
-            signs = 1.0 - 2.0 * _bit_parity(
-                (idx ^ np.uint64(x_mask)) & np.uint64(z_mask)
-            )
-            inner = np.sum(bra * signs * permuted)
-            p = float(np.abs(inner) ** 2) * scale
+            # one 1-d sum per row keeps np.sum's pairwise order, so outcomes
+            # of probability 0 come out exactly 0
+            p = float(np.abs(terms[z_mask].sum()) ** 2) * scale
             out.append(PauliOutcome(pauli_string(x_mask, z_mask, n), p))
     return out
 

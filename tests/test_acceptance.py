@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -74,17 +73,23 @@ def _pauli_masks(pauli: str) -> tuple[int, int]:
 
 def _bell_tv(graph: Graph, draws: int, rng: np.random.Generator) -> float:
     h = GraphOracle(graph, rng)
-    sample = h.bell_sample
     n = graph.n
-    counts: Counter[int] = Counter()
-    for _ in range(draws):
-        s, y = sample()
-        counts[(s.bits << n) | y.bits] += 1
+    rows_b, rows_y = h.bell_samples(draws)
+    # bit j of sample i's outcome is bit i of row j of [Y; B], so the
+    # outcome is (s << n) | y
+    width = (draws + 7) // 8
+    raw = b"".join(r.to_bytes(width, "little") for r in rows_y + rows_b)
+    bits = np.unpackbits(
+        np.frombuffer(raw, dtype=np.uint8).reshape(2 * n, width),
+        axis=1, count=draws, bitorder="little",
+    ).astype(np.int64)
+    outcomes = (bits << np.arange(2 * n)[:, None]).sum(axis=0)
+    counts = np.bincount(outcomes, minlength=1 << 2 * n)
     exact = bell_distribution(build_graph_state(graph))
     tv = 0.0
     for outcome in exact:
         x, z = _pauli_masks(outcome.pauli)
-        emp = counts.get((x << n) | z, 0) / draws
+        emp = int(counts[(x << n) | z]) / draws
         tv += abs(emp - outcome.probability)
     return 0.5 * tv
 

@@ -13,6 +13,7 @@ from gqlab.f2 import (
     BitMatrix,
     BitVector,
     matvec,
+    random_block,
     random_matrix,
     random_vector,
     rank,
@@ -47,11 +48,6 @@ class TestBitVector:
         assert v.weight() == 3
         assert BitVector.from_support([0, 2, 3], 5) == v
 
-    def test_dot_is_parity_of_intersection(self):
-        u = BitVector.from_bits([1, 1, 0, 1])
-        v = BitVector.from_bits([1, 0, 1, 1])
-        assert u.dot(v) == (1 * 1 + 1 * 0 + 0 * 1 + 1 * 1) % 2
-
     def test_out_of_range_bits_rejected(self):
         with pytest.raises(ValueError):
             BitVector(3, 0b1000)
@@ -64,7 +60,8 @@ class TestBitVector:
 class TestMatvec:
     def test_identity_fixes_vectors(self):
         v = BitVector.from_bits([1, 0, 1, 1])
-        assert matvec(BitMatrix.identity(4), v) == v
+        identity = BitMatrix(4, 4, [0b0001, 0b0010, 0b0100, 0b1000])
+        assert matvec(identity, v) == v
 
     def test_matches_entrywise_reference(self):
         rng = np.random.default_rng(11)
@@ -110,7 +107,7 @@ class TestRank:
             assert rank(mat) == span_size_rank(list(mat.rows))
 
     def test_identity_full_rank(self):
-        assert rank(BitMatrix.identity(9)) == 9
+        assert rank(BitMatrix(9, 9, [1 << i for i in range(9)])) == 9
 
 
 class TestSolve:
@@ -189,12 +186,27 @@ class TestRandomMatrix:
             assert bad / 10_000 <= 4 * 2 ** -(k - d)
 
 
+@pytest.mark.parametrize("k", [0, 1, 3, 50])
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 31, 32, 33, 64, 65, 128, 300])
+def test_random_block_matches_repeated_random_vector(n, k):
+    # the block's columns are the draws, in order, of k random_vector calls,
+    # and the generator is left where those calls leave it
+    block_rng = np.random.default_rng(1000 * n + k)
+    single_rng = np.random.default_rng(1000 * n + k)
+    rows = random_block(n, k, block_rng)
+    cols = [random_vector(n, single_rng).bits for _ in range(k)]
+    assert len(rows) == n
+    assert all(r >> k == 0 for r in rows)
+    assert transpose_words(rows, k) == cols
+    assert block_rng.random() == single_rng.random()
+
+
 def test_transpose_words_round_trip():
     rng = np.random.default_rng(3)
     mat = random_matrix(7, 13, rng)
-    assert mat.transpose().transpose() == mat
     cols = transpose_words(mat.rows, mat.ncols)
     assert all(mat.column(j).bits == cols[j] for j in range(13))
+    assert transpose_words(cols, mat.nrows) == list(mat.rows)
 
 
 @given(st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=10))
@@ -203,4 +215,4 @@ def test_rank_bounds(rows):
     mat = BitMatrix(len(rows), 10, rows)
     r = rank(mat)
     assert 0 <= r <= min(len(rows), 10)
-    assert rank(mat.transpose()) == r
+    assert rank(BitMatrix(10, len(rows), transpose_words(rows, 10))) == r

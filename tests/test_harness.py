@@ -345,13 +345,18 @@ PRESET_GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("preset", sorted(PRESET_GOLDEN))
-def test_bounded_degree_preset_csv_is_pinned(preset, tmp_path):
+def _preset_digest(preset: str, tmp_path: Path) -> str:
+    """sha256 of the preset's CSV with its trials cut to 10 per point."""
     text = (Path(__file__).parents[1] / "scripts" / f"{preset}.json").read_text()
     cfg = dataclasses.replace(config_from_json(text), trials=10)
     path = tmp_path / f"{preset}.csv"
     emit(run(cfg)[0], str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == PRESET_GOLDEN[preset]
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESET_GOLDEN))
+def test_bounded_degree_preset_csv_is_pinned(preset, tmp_path):
+    assert _preset_digest(preset, tmp_path) == PRESET_GOLDEN[preset]
 
 
 # The OR-query presets cut to 10 trials per point: star learning, the
@@ -368,11 +373,29 @@ OR_PRESET_GOLDEN = {
 
 @pytest.mark.parametrize("preset", sorted(OR_PRESET_GOLDEN))
 def test_or_preset_csv_is_pinned(preset, tmp_path):
-    text = (Path(__file__).parents[1] / "scripts" / f"{preset}.json").read_text()
-    cfg = dataclasses.replace(config_from_json(text), trials=10)
-    path = tmp_path / f"{preset}.csv"
-    emit(run(cfg)[0], str(path))
-    assert hashlib.sha256(path.read_bytes()).hexdigest() == OR_PRESET_GOLDEN[preset]
+    assert _preset_digest(preset, tmp_path) == OR_PRESET_GOLDEN[preset]
+
+
+# The remaining presets cut to 10 trials per point: parity-query blocks, Bell
+# blocks against a finite family, and symmetric juntas (preset -> sha256).
+GATE_PRESET_GOLDEN = {
+    "gate_bounded_edges":
+        "8f9401c9934dde4ed50e0987b89a295447ccca4dfc46172914fc74cc0677b7df",
+    "gate_family_small_graphs":
+        "24cd8c83b06a79ace8ac85243bbe6c578454474b01bf4a2d645e21a8af31494c",
+    "sweep_junta_majority":
+        "ac41bc7f00ed340650f08ad437a040142d5dc29d4d8b71aededea0590682b740",
+}
+
+
+@pytest.mark.parametrize("preset", sorted(GATE_PRESET_GOLDEN))
+def test_gate_preset_csv_is_pinned(preset, tmp_path):
+    assert _preset_digest(preset, tmp_path) == GATE_PRESET_GOLDEN[preset]
+
+
+def test_every_preset_is_pinned():
+    presets = {p.stem for p in (Path(__file__).parents[1] / "scripts").glob("*.json")}
+    assert presets == set(PRESET_GOLDEN) | set(OR_PRESET_GOLDEN) | set(GATE_PRESET_GOLDEN)
 
 
 # -- trials that raise or cheat ----------------------------------------------------

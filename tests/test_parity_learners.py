@@ -75,6 +75,21 @@ def test_parity_batch_charges_parity_queries_only():
     assert ledger.counts["parity_query"] == 26
 
 
+@pytest.mark.parametrize("n, k", [(1, 1), (9, 0), (12, 25), (70, 40)])
+def test_parity_block_equals_repeated_parity_vector_query(n, k):
+    g = random_graph(n, min(n * (n - 1) // 2, 2 * n), np.random.default_rng(n))
+    block_oracle = make_oracle(g, seed=43)
+    single_oracle = make_oracle(g, seed=43)
+    batch = collect_samples(block_oracle, k, parity=True)
+    for i in range(k):
+        s = f2.random_vector(n, single_oracle.rng)
+        assert batch.B.column(i) == s
+        assert batch.Y.column(i) == single_oracle.parity_vector_query(s)
+    assert block_oracle.ledger.counts == single_oracle.ledger.counts
+    assert block_oracle.ledger.counts["parity_query"] == 2 * k
+    assert block_oracle.rng.random() == single_oracle.rng.random()
+
+
 # -- finite families -------------------------------------------------------------
 
 

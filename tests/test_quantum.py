@@ -104,6 +104,34 @@ class TestBellDistribution:
             for o in support:
                 assert abs(o.probability - 2**-4) < 1e-12
 
+    @staticmethod
+    def per_outcome_reference(psi: Statevector) -> list[tuple[str, float]]:
+        # one sign vector and one sum per (x, z) outcome
+        n = psi.n
+        idx = np.arange(1 << n)
+        bra = np.conj(psi.amps)
+        out = []
+        for x in range(1 << n):
+            permuted = bra[idx ^ x]
+            for z in range(1 << n):
+                parity = np.array([bin((i ^ x) & z).count("1") & 1 for i in idx])
+                inner = np.sum(bra * (1.0 - 2.0 * parity) * permuted)
+                out.append((pauli_string(x, z, n), float(np.abs(inner) ** 2) / (1 << n)))
+        return out
+
+    def test_matches_per_outcome_reference(self):
+        # graph states give exactly the reference floats, so the zero-probability
+        # outcomes stay exactly 0; a random state agrees to rounding
+        for n, m in [(1, 0), (2, 1), (3, 1), (3, 3), (5, 4), (6, 7)]:
+            psi = build_graph_state(generate(FamilySpec("fixed_edge_count", n=n, m=m), rng))
+            got = [(o.pauli, o.probability) for o in bell_distribution(psi)]
+            assert got == self.per_outcome_reference(psi)
+        psi = random_state(4)
+        want = self.per_outcome_reference(psi)
+        got = bell_distribution(psi)
+        assert [o.pauli for o in got] == [p for p, _ in want]
+        np.testing.assert_allclose([o.probability for o in got], [p for _, p in want], atol=1e-15)
+
     def test_random_state_sums_to_one(self):
         dist = bell_distribution(random_state(3))
         assert abs(sum(o.probability for o in dist) - 1) < 1e-9
