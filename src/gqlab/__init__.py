@@ -12,6 +12,7 @@ from gqlab.errors import (
 )
 from gqlab.f2 import BitMatrix, BitVector, matvec, rank, random_matrix, solve
 from gqlab.fourier import (
+    bv_with_size_oracle,
     exact_half_coefficient_01,
     exact_half_level_weights,
     fourier_table,
@@ -54,13 +55,6 @@ from gqlab.parity_learners import (
     learn_star_graphstate,
     learn_subgraph_of,
 )
-from gqlab.quantum import (
-    bell_distribution,
-    build_graph_state,
-    bv_with_size_oracle,
-    fourier_sampling_distribution,
-    pauli_string,
-)
 
 __version__ = "0.1.0"
 
@@ -86,8 +80,6 @@ __all__ = [
     "ScaleError",
     "ViolationError",
     "adversary_instance",
-    "bell_distribution",
-    "build_graph_state",
     "bv_with_size_oracle",
     "cgt_solve",
     "config_from_json",
@@ -95,7 +87,6 @@ __all__ = [
     "enumerate_all_graphs",
     "exact_half_coefficient_01",
     "exact_half_level_weights",
-    "fourier_sampling_distribution",
     "fourier_table",
     "generate",
     "influence_profile",
@@ -116,7 +107,6 @@ __all__ = [
     "maj_level_weights",
     "maj_truth",
     "matvec",
-    "pauli_string",
     "random_matrix",
     "rank",
     "run",

@@ -10,7 +10,6 @@ the quantum counter; the suppressed charges stay visible for audits.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from gqlab.oracles import QueryLedger
 __all__ = [
     "BACKENDS",
     "cgt_solve",
-    "adaptive_query_bound",
     "NonadaptiveDesign",
     "build_nonadaptive_design",
     "binary_indexing_design",
@@ -118,13 +116,6 @@ def cgt_solve(
     return found
 
 
-def adaptive_query_bound(n: int, k: int) -> int:
-    """Worst-case classical adaptive query count for k positives out of n."""
-    if n == 0:
-        return 0
-    return k * (math.ceil(math.log2(n)) + 1) + 1
-
-
 # -- nonadaptive designs -------------------------------------------------------
 
 
@@ -140,26 +131,6 @@ class NonadaptiveDesign:
     def apply(self, positives) -> tuple[int, ...]:
         pos = set(positives)
         return tuple(1 if t & pos else 0 for t in self.tests)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "kind": self.kind,
-                "n": self.n,
-                "d": self.d,
-                "tests": [sorted(t) for t in self.tests],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "NonadaptiveDesign":
-        data = json.loads(text)
-        tests = tuple(frozenset(t) for t in data["tests"])
-        design = cls(data["kind"], int(data["n"]), int(data["d"]), tests)
-        for t in design.tests:
-            if t and not 0 <= min(t) <= max(t) < design.n:
-                raise ValueError("test touches items outside the universe")
-        return design
 
 
 def _is_disjunct(columns: list[frozenset[int]], d: int, rng, exhaustive_limit: int = 20) -> bool:

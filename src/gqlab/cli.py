@@ -8,6 +8,7 @@ message names the learner, point, trial and seed).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -49,7 +50,7 @@ def main(argv=None) -> int:
         if args.format is not None:
             overrides["fmt"] = args.format
         if overrides:
-            cfg = type(cfg)(**{**cfg.__dict__, **overrides})
+            cfg = dataclasses.replace(cfg, **overrides)
         cfg.validate()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         print(f"gqlab: {exc}", file=sys.stderr)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gqlab.f2 import BitMatrix
+from gqlab.f2 import BitMatrix, random_matrix
 
 __all__ = [
     "Graph",
@@ -104,29 +104,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
-
-    def to_edge_list_text(self) -> str:
-        lines = [f"{self.n} {self.m}"]
-        lines += [f"{u} {v}" for u, v in sorted(self.edges)]
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_edge_list_text(cls, text: str) -> "Graph":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines:
-            raise ValueError("empty edge list")
-        n, m = (int(tok) for tok in lines[0].split())
-        if len(lines) - 1 != m:
-            raise ValueError("edge count does not match header")
-        edges = set()
-        for ln in lines[1:]:
-            u, v = (int(tok) for tok in ln.split())
-            if not u < v:
-                raise ValueError(f"edge line '{ln}' must satisfy i < j")
-            if (u, v) in edges:
-                raise ValueError(f"edge line '{ln}' repeats an edge")
-            edges.add((u, v))
-        return cls(n, edges)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -242,8 +219,6 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     if kind == "two_clique_adversary":
         if spec.k is None or spec.k < 1 or n != 2 * spec.k:
             raise ValueError("two_clique_adversary needs n == 2k")
-        from gqlab.f2 import random_matrix
-
         return adversary_instance(spec.k, random_matrix(spec.k, spec.k, rng))
 
     raise AssertionError(kind)

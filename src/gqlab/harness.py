@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
+import numbers
 import os
 import statistics
 import time
@@ -110,8 +111,22 @@ class ExperimentConfig:
             raise ValueError(
                 f"family {self.family!r} is not runnable with {self.learner!r}"
             )
-        if self.trials < 0:
-            raise ValueError("trials must be nonnegative")
+        if not _is_number(self.trials, numbers.Integral) or self.trials < 0:
+            raise ValueError("trials must be a nonnegative integer")
+        if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
+            raise ValueError("seed must be a nonnegative integer")
+        if not _is_number(self.c) or not self.c > 0:
+            raise ValueError("c must be a positive number")
+        if self.min_success is not None and not (
+            _is_number(self.min_success) and 0 <= self.min_success <= 1
+        ):
+            raise ValueError("min_success must be a number in [0, 1]")
+        if self.slope_range is not None and not (
+            len(self.slope_range) == 2
+            and all(map(_is_number, self.slope_range))
+            and self.slope_range[0] <= self.slope_range[1]
+        ):
+            raise ValueError("slope_range must be a pair [lo, hi] of numbers, lo <= hi")
         if not self.grid:
             raise ValueError("grid must have at least one point")
         for point in self.grid:
@@ -134,6 +149,10 @@ class ExperimentConfig:
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
 
 
 def config_from_json(text: str) -> ExperimentConfig:

@@ -7,7 +7,6 @@ tests; they bump a dedicated counter so an audit can prove no learner cheated.
 
 from __future__ import annotations
 
-import json
 import math
 import operator
 from contextlib import contextmanager
@@ -75,20 +74,6 @@ class QueryLedger:
 
     def delta(self, before: dict[str, int]) -> dict[str, int]:
         return {kind: self.counts[kind] - before.get(kind, 0) for kind in QUERY_KINDS}
-
-    def to_json(self) -> str:
-        return json.dumps(self.counts, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "QueryLedger":
-        data = json.loads(text)
-        ledger = cls()
-        for kind in QUERY_KINDS:
-            value = int(data[kind])
-            if value < 0:
-                raise ValueError("negative count in ledger")
-            ledger.counts[kind] = value
-        return ledger
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.counts.items() if v)

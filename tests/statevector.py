@@ -1,9 +1,9 @@
-"""Small statevector simulators used as ground truth for the sampling oracles.
+"""Dense statevector simulators: the independent reference for the samplers.
 
 Basis states are indexed by integers; bit ``v`` of the index is the value of
 qubit ``v``.  Everything here is exact and deliberately capped at sizes where
-dense simulation is instant, so the fast analytic samplers elsewhere can be
-validated against an independent route.
+dense simulation is instant, so the fast analytic samplers in ``gqlab`` can
+be validated against an independent route.
 """
 
 from __future__ import annotations
@@ -19,23 +19,17 @@ from gqlab.graphs import Graph
 __all__ = [
     "Statevector",
     "PauliOutcome",
-    "BVResult",
     "MAX_STATE_QUBITS",
     "MAX_BELL_QUBITS",
-    "MAX_BV_QUBITS",
     "build_graph_state",
     "apply_pauli_string",
     "pauli_string",
     "bell_distribution",
     "fourier_sampling_distribution",
-    "bv_with_size_oracle",
-    "relevant_variables",
-    "is_monotone",
 ]
 
 MAX_STATE_QUBITS = 16
 MAX_BELL_QUBITS = 8
-MAX_BV_QUBITS = 14
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
@@ -63,9 +57,6 @@ class Statevector:
         self.n = n
         self.amps = amps
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
 
 @dataclass(frozen=True)
 class PauliOutcome:
@@ -73,15 +64,6 @@ class PauliOutcome:
 
     pauli: str
     probability: float
-
-
-@dataclass(frozen=True)
-class BVResult:
-    """Outcome of one run of the exact-phase recovery routine."""
-
-    ok: bool
-    recovered: frozenset[int] | None
-    fail_flag: bool
 
 
 def build_graph_state(graph: Graph) -> Statevector:
@@ -184,70 +166,3 @@ def fourier_sampling_distribution(truth: Sequence[int], n: int) -> np.ndarray:
     amps = np.where(table, -1.0, 1.0).astype(np.complex128) / np.sqrt(1 << n)
     probs = np.abs(_hadamard_all(amps, n)) ** 2
     return probs
-
-
-def relevant_variables(truth: Sequence[int], n: int) -> list[int]:
-    """Variables on which f genuinely depends."""
-    table = np.asarray(truth, dtype=np.int8)
-    idx = np.arange(1 << n)
-    out = []
-    for v in range(n):
-        if np.any(table[idx] != table[idx ^ (1 << v)]):
-            out.append(v)
-    return out
-
-
-def is_monotone(truth: Sequence[int], n: int) -> bool:
-    table = np.asarray(truth, dtype=np.int8)
-    idx = np.arange(1 << n)
-    for v in range(n):
-        low = (idx >> v) & 1 == 0
-        if np.any(table[idx[low]] > table[idx[low] ^ (1 << v)]):
-            return False
-    return True
-
-
-def bv_with_size_oracle(
-    truth: Sequence[int],
-    n: int,
-    rng: np.random.Generator,
-    delta: float | Sequence[float] = 0.0,
-) -> BVResult:
-    """Recover the relevant-variable set of a monotone junta in one round.
-
-    Uses the exact intersection-size phase state: amplitudes proportional to
-    (-1)^{|S ∩ T|} over all T, Hadamard-transformed back to the indicator of
-    S.  ``delta`` models a per-subset damping of the good branch: the flag
-    register then fails with probability 1 - mean((1-delta)^2), and the
-    conditional output may differ from S.
-    """
-    if n > MAX_BV_QUBITS:
-        raise ScaleError(f"exact-phase recovery capped at {MAX_BV_QUBITS} qubits")
-    table = np.asarray(truth, dtype=np.int8)
-    if table.shape != (1 << n,):
-        raise ValueError("truth table must have length 2**n")
-    if not is_monotone(table, n):
-        raise ValueError("truth table is not monotone")
-    s_mask = 0
-    for v in relevant_variables(table, n):
-        s_mask |= 1 << v
-
-    damp = np.asarray(delta, dtype=np.float64)
-    if damp.ndim == 0:
-        damp = np.full(1 << n, float(damp))
-    if damp.shape != (1 << n,) or np.any(damp < 0) or np.any(damp >= 1):
-        raise ValueError("delta must be scalar or per-subset values in [0, 1)")
-
-    good = 1.0 - damp
-    p_flag_ok = float(np.mean(good**2))
-    if rng.random() >= p_flag_ok:
-        return BVResult(ok=False, recovered=None, fail_flag=True)
-
-    idx = np.arange(1 << n, dtype=np.uint64)
-    signs = 1.0 - 2.0 * _bit_parity(idx & np.uint64(s_mask))
-    vec = good * signs
-    vec = vec / np.linalg.norm(vec)
-    probs = np.abs(_hadamard_all(vec.astype(np.complex128), n)) ** 2
-    outcome = int(rng.choice(1 << n, p=probs / probs.sum()))
-    support = frozenset(v for v in range(n) if (outcome >> v) & 1)
-    return BVResult(ok=outcome == s_mask, recovered=support, fail_flag=False)

@@ -21,6 +21,7 @@ from gqlab.cgt import BACKENDS, cgt_solve
 from gqlab.errors import AmbiguityError
 from gqlab.f2 import random_matrix
 from gqlab.fourier import (
+    bv_with_size_oracle,
     exact_half_coefficient_01,
     exact_half_level_weights,
     fourier_table,
@@ -35,10 +36,9 @@ from gqlab.graphs import (
 )
 from gqlab.harness import ExperimentConfig, emit, run
 from gqlab.oracles import GraphOracle, JuntaOracle, QueryLedger
-from gqlab.quantum import (
+from statevector import (
     bell_distribution,
     build_graph_state,
-    bv_with_size_oracle,
     fourier_sampling_distribution,
 )
 

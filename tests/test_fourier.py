@@ -1,5 +1,6 @@
 """Closed forms checked against direct per-coefficient enumeration."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from gqlab.errors import RetryBudgetError, ScaleError, ViolationError
 from gqlab.fourier import (
     FourierTable,
+    bv_with_size_oracle,
     exact_half_coefficient_01,
     exact_half_level_weights,
     exact_half_level_weights_pm1,
@@ -21,8 +23,6 @@ from gqlab.fourier import (
     maj_coefficient,
     maj_level_weights,
     maj_truth,
-    parse_truth_hex,
-    truth_to_hex,
 )
 
 
@@ -197,21 +197,6 @@ def test_maj3_influences():
     assert prof.min_influence == pytest.approx(0.5)
 
 
-# -- hex serialization --------------------------------------------------------
-
-def test_hex_round_trip_and_frozen_encoding():
-    assert truth_to_hex(maj_truth(3)) == "e8"
-    assert parse_truth_hex("e8", 3) == maj_truth(3)
-    rng = np.random.default_rng(11)
-    for k in (0, 1, 2, 5, 8):
-        table = [int(b) for b in rng.integers(0, 2, size=1 << k)]
-        assert parse_truth_hex(truth_to_hex(table), k) == table
-    with pytest.raises(ValueError):
-        parse_truth_hex("e8", 4)  # wrong digit count
-    with pytest.raises(ValueError):
-        truth_to_hex([0, 1, 1])
-
-
 # -- learner control flow against a scripted handle ---------------------------
 
 class ScriptedHandle:
@@ -286,3 +271,28 @@ def test_high_influence_unions_q_samples():
     handle = PlainHandle(3, (0.5, 0.5, 0.5), [frozenset({4}), frozenset({7, 4})])
     out = learn_high_influence_junta(handle, eps=0.5, delta=0.5)
     assert out == {4, 7}
+
+
+# -- exact-phase recovery ------------------------------------------------------
+
+BV_GOLDEN = "19e7b57309f95866ee9a3c8189e0e0115d6cd3701811b40937a11e3c92bd0564"
+
+
+def test_bv_with_size_oracle_is_pinned():
+    # 2000 seeded runs on monotone OR juntas, n = 2..10, with no damping, a
+    # constant 0.2 and random per-subset damping; the digest covers every
+    # result and the generator state left behind
+    rng = np.random.default_rng(8208)
+    digest = hashlib.sha256()
+    for i in range(2000):
+        n = 2 + i % 9
+        support = rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False)
+        mask = sum(1 << int(v) for v in support)
+        truth = ((np.arange(1 << n) & mask) != 0).astype(np.int8)
+        per_subset = rng.uniform(0.0, 0.9, size=1 << n)
+        delta = (0.0, 0.2, per_subset)[i % 3]
+        res = bv_with_size_oracle(truth, n, rng, delta=delta)
+        recovered = None if res.recovered is None else sorted(res.recovered)
+        digest.update(repr((res.ok, recovered, res.fail_flag)).encode())
+    digest.update(repr(rng.random()).encode())
+    assert digest.hexdigest() == BV_GOLDEN

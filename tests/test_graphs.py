@@ -56,29 +56,6 @@ class TestGraphBasics:
                 assert g.adjacency().row(u).get(v) == g.adjacency().row(v).get(u)
 
 
-class TestEdgeListText:
-    def test_round_trip(self):
-        g = Graph(6, [(0, 5), (1, 2), (2, 4)])
-        assert Graph.from_edge_list_text(g.to_edge_list_text()) == g
-
-    def test_format_shape(self):
-        text = Graph(4, [(1, 3), (0, 2)]).to_edge_list_text()
-        assert text.splitlines()[0] == "4 2"
-        assert text.splitlines()[1:] == ["0 2", "1 3"]
-
-    def test_rejects_unordered_pair(self):
-        with pytest.raises(ValueError):
-            Graph.from_edge_list_text("3 1\n2 1\n")
-
-    def test_rejects_edges_past_the_header_count(self):
-        with pytest.raises(ValueError):
-            Graph.from_edge_list_text("3 1\n0 1\n1 2\n")
-
-    def test_rejects_repeated_edge(self):
-        with pytest.raises(ValueError):
-            Graph.from_edge_list_text("3 2\n0 1\n0 1\n")
-
-
 class TestFamilies:
     def test_matching_profile(self):
         for _ in range(50):

@@ -112,6 +112,20 @@ def test_emit_refuses_empty_without_flag(tmp_path):
     assert (tmp_path / "x.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)]
 
 
+# fields of the right name but the wrong type, arity or range
+MALFORMED = (
+    {"slope_range": [0.5, 1.0, 2.0]},
+    {"slope_range": [2.0, 0.5]},
+    {"trials": "2"},
+    {"trials": 2.5},
+    {"seed": "x"},
+    {"min_success": "high"},
+    {"min_success": 1.5},
+    {"c": 0},
+    {"c": "1"},
+)
+
+
 def test_validation_rejects_bad_configs():
     with pytest.raises(ValueError):
         run(small_config(learner="nope"))
@@ -123,6 +137,9 @@ def test_validation_rejects_bad_configs():
         run(small_config(metric="bogus_counter"))
     with pytest.raises(ValueError):
         run(small_config(grid=()))
+    for bad in MALFORMED + ({"trials": True}, {"seed": -1}, {"slope_range": ("a", 1)}):
+        with pytest.raises(ValueError):
+            run(small_config(**bad))
 
 
 def test_config_json_round_trip():
@@ -239,6 +256,11 @@ def test_cli_exit_codes(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{\"learner\": \"nope\"}")
     assert cli.main(["run", "--config", str(bad)]) == 2
+    base = json.loads(small_config().to_json())
+    for fields in MALFORMED:
+        bad.write_text(json.dumps({**base, **fields}))
+        assert cli.main(["run", "--config", str(bad)]) == 2, fields
+        assert capsys.readouterr().err.startswith("gqlab: ")
     threshold_cfg = ExperimentConfig(
         learner="bell_family",
         family="all_small_graphs",

@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from gqlab.errors import ScaleError
+from gqlab.fourier import bv_with_size_oracle, is_monotone, relevant_variables
 from gqlab.graphs import FamilySpec, Graph, generate
-from gqlab.quantum import (
+from statevector import (
     MAX_BELL_QUBITS,
     Statevector,
     apply_pauli_string,
     bell_distribution,
     build_graph_state,
-    bv_with_size_oracle,
     fourier_sampling_distribution,
-    is_monotone,
     pauli_string,
-    relevant_variables,
 )
 
 rng = np.random.default_rng(99)
