@@ -10,7 +10,7 @@ from gqlab.errors import (
     ScaleError,
     ViolationError,
 )
-from gqlab.f2 import BitMatrix, BitVector, matvec, rank, random_matrix, solve
+from gqlab.f2 import matvec, rank, random_matrix, solve
 from gqlab.fourier import (
     bv_with_size_oracle,
     exact_half_coefficient_01,
@@ -61,8 +61,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AmbiguityError",
     "BACKENDS",
-    "BitMatrix",
-    "BitVector",
     "CSV_COLUMNS",
     "ConstructionError",
     "DecodeError",

@@ -1,149 +1,53 @@
 """Bit-packed linear algebra over GF(2).
 
-Vectors and matrix rows are stored as Python integers, bit ``i`` holding
-coordinate ``i``.  XOR on a whole row is therefore a single word-level
-operation regardless of length, which keeps Gaussian elimination cheap at
-the trial counts the experiment harness runs (10^4 .. 10^6 solves).
+A vector is a Python integer (a word), bit ``i`` holding coordinate ``i``;
+a matrix is a sequence of row words, bit ``j`` of a row holding column
+``j``.  XOR on a whole row is therefore a single word-level operation
+regardless of length, which keeps Gaussian elimination cheap at the trial
+counts the experiment harness runs (10^4 .. 10^6 solves).
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Iterable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "BitVector",
-    "BitMatrix",
+    "from_support",
     "matvec",
     "solve",
     "rank",
     "random_block",
     "random_matrix",
     "random_vector",
+    "support",
     "transpose_words",
     "xor_rows",
 ]
 
 
-def _mask(n: int) -> int:
-    return (1 << n) - 1
+def support(word: int) -> list[int]:
+    """The set coordinates of a word, in increasing order."""
+    out = []
+    while word:
+        low = word & -word
+        out.append(low.bit_length() - 1)
+        word ^= low
+    return out
 
 
-class BitVector:
-    """Immutable vector over GF(2) with ``n`` coordinates."""
-
-    __slots__ = ("n", "bits")
-
-    def __init__(self, n: int, bits: int = 0):
-        if n < 0:
-            raise ValueError("length must be nonnegative")
-        if bits < 0 or bits >> n:
-            raise ValueError("bits outside the declared length")
-        self.n = n
-        self.bits = bits
-
-    @classmethod
-    def from_bits(cls, values: Iterable[int]) -> "BitVector":
-        bits = 0
-        n = 0
-        for v in values:
-            if v:
-                bits |= 1 << n
-            n += 1
-        return cls(n, bits)
-
-    @classmethod
-    def from_support(cls, support: Iterable[int], n: int) -> "BitVector":
-        bits = 0
-        for i in support:
-            if not 0 <= i < n:
-                raise ValueError(f"index {i} out of range for length {n}")
-            bits |= 1 << i
-        return cls(n, bits)
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> "BitVector":
-        return cls.from_support([i], n)
-
-    def get(self, i: int) -> int:
-        if not 0 <= i < self.n:
-            raise IndexError(i)
-        return (self.bits >> i) & 1
-
-    def weight(self) -> int:
-        return self.bits.bit_count()
-
-    def support(self) -> list[int]:
-        out = []
-        b = self.bits
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
-
-    def __xor__(self, other: "BitVector") -> "BitVector":
-        if other.n != self.n:
-            raise ValueError("length mismatch")
-        return BitVector(self.n, self.bits ^ other.bits)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitVector)
-            and other.n == self.n
-            and other.bits == self.bits
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.bits))
-
-    def __repr__(self) -> str:
-        return "".join(str(self.get(i)) for i in range(self.n))
-
-
-class BitMatrix:
-    """Row-major bit-packed matrix over GF(2); bit ``j`` of a row is column ``j``."""
-
-    __slots__ = ("nrows", "ncols", "rows")
-
-    def __init__(self, nrows: int, ncols: int, rows: Sequence[int]):
-        if len(rows) != nrows:
-            raise ValueError("row count mismatch")
-        m = _mask(ncols)
-        for r in rows:
-            if r < 0 or r & ~m:
-                raise ValueError("row has bits outside the declared width")
-        self.nrows = nrows
-        self.ncols = ncols
-        self.rows = tuple(rows)
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int) -> "BitMatrix":
-        return cls(nrows, ncols, [0] * nrows)
-
-    def row(self, i: int) -> BitVector:
-        return BitVector(self.ncols, self.rows[i])
-
-    def column(self, j: int) -> BitVector:
-        bits = 0
-        for i, r in enumerate(self.rows):
-            bits |= ((r >> j) & 1) << i
-        return BitVector(self.nrows, bits)
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, BitMatrix)
-            and other.nrows == self.nrows
-            and other.ncols == self.ncols
-            and other.rows == self.rows
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.nrows, self.ncols, self.rows))
-
-    def __repr__(self) -> str:
-        return "\n".join(repr(self.row(i)) for i in range(self.nrows))
+def from_support(items: Iterable[int], n: int) -> int:
+    """The word of length ``n`` whose set coordinates are ``items``."""
+    word = 0
+    for i in items:
+        # coerce numpy integers; a raw int64 would wrap in the shift
+        i = operator.index(i)
+        if not 0 <= i < n:
+            raise ValueError(f"index {i} out of range for length {n}")
+        word |= 1 << i
+    return word
 
 
 def transpose_words(rows: Sequence[int], ncols: int) -> list[int]:
@@ -174,15 +78,12 @@ def xor_rows(masks: Iterable[int], rows: Sequence[int]) -> list[int]:
     return out
 
 
-def matvec(mat: BitMatrix, vec: BitVector) -> BitVector:
-    """Matrix-vector product over GF(2)."""
-    if vec.n != mat.ncols:
-        raise ValueError("dimension mismatch")
+def matvec(rows: Sequence[int], vec: int) -> int:
+    """Matrix-vector product over GF(2): bit i is the parity of ``rows[i] & vec``."""
     bits = 0
-    v = vec.bits
-    for i, r in enumerate(mat.rows):
-        bits |= ((r & v).bit_count() & 1) << i
-    return BitVector(mat.nrows, bits)
+    for i, r in enumerate(rows):
+        bits |= ((r & vec).bit_count() & 1) << i
+    return bits
 
 
 def _eliminate(rows: list[int], width: int) -> tuple[list[int], list[int]]:
@@ -208,25 +109,27 @@ def _eliminate(rows: list[int], width: int) -> tuple[list[int], list[int]]:
     return rows, pivots
 
 
-def rank(mat: BitMatrix) -> int:
-    rows = list(mat.rows)
-    _, pivots = _eliminate(rows, mat.ncols)
+def rank(rows: Sequence[int], ncols: int) -> int:
+    _, pivots = _eliminate(list(rows), ncols)
     return len(pivots)
 
 
 def solve(
-    mat: BitMatrix, rhs: BitVector
-) -> tuple[BitVector, list[BitVector]] | None:
-    """Solve ``mat @ x = rhs`` over GF(2).
+    rows: Sequence[int], ncols: int, rhs: int
+) -> tuple[int, list[int]] | None:
+    """Solve ``M x = rhs`` over GF(2) for the matrix with these row words.
 
-    Returns ``(particular, nullspace_basis)``, or None when the system is
-    inconsistent.  The solution set is ``particular`` plus the span of the
-    basis; an empty basis certifies uniqueness.
+    Returns ``(particular, nullspace_basis)`` as words of ``ncols`` bits, or
+    None when the system is inconsistent.  The solution set is
+    ``particular`` plus the span of the basis; an empty basis certifies
+    uniqueness.
     """
-    if rhs.n != mat.nrows:
+    if rhs < 0 or rhs >> len(rows):
         raise ValueError("dimension mismatch")
-    w = mat.ncols
-    aug = [mat.rows[i] | (rhs.get(i) << w) for i in range(mat.nrows)]
+    w = ncols
+    if any(r < 0 or r >> w for r in rows):
+        raise ValueError("row has bits outside the declared width")
+    aug = [r | ((rhs >> i) & 1) << w for i, r in enumerate(rows)]
     aug, pivots = _eliminate(aug, w)
     rhs_bit = 1 << w
     for r in aug[len(pivots):]:
@@ -245,15 +148,16 @@ def solve(
         for i, col in enumerate(pivots):
             if (aug[i] >> free) & 1:
                 vec |= 1 << col
-        basis.append(BitVector(w, vec))
-    return BitVector(w, particular), basis
+        basis.append(vec)
+    return particular, basis
 
 
-def random_vector(n: int, rng: np.random.Generator) -> BitVector:
+def random_vector(n: int, rng: np.random.Generator) -> int:
+    """A uniform word of ``n`` bits."""
     if n == 0:
-        return BitVector(0, 0)
+        return 0
     raw = int.from_bytes(rng.bytes((n + 7) // 8), "little")
-    return BitVector(n, raw & _mask(n))
+    return raw & ((1 << n) - 1)
 
 
 def random_block(n: int, k: int, rng: np.random.Generator) -> list[int]:
@@ -272,8 +176,6 @@ def random_block(n: int, k: int, rng: np.random.Generator) -> list[int]:
     return [int.from_bytes(packed[i * w:(i + 1) * w], "little") for i in range(n)]
 
 
-def random_matrix(nrows: int, ncols: int, rng: np.random.Generator) -> BitMatrix:
-    """Matrix with i.i.d. uniform entries."""
-    return BitMatrix(
-        nrows, ncols, [random_vector(ncols, rng).bits for _ in range(nrows)]
-    )
+def random_matrix(nrows: int, ncols: int, rng: np.random.Generator) -> list[int]:
+    """Row words of a matrix with i.i.d. uniform entries."""
+    return [random_vector(ncols, rng) for _ in range(nrows)]

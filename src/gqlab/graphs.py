@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from gqlab.f2 import BitMatrix, random_matrix
+from gqlab import f2
 
 __all__ = [
     "Graph",
@@ -73,15 +74,7 @@ class Graph:
         return self.adj_bits[v].bit_count()
 
     def neighbors(self, v: int) -> list[int]:
-        out, b = [], self.adj_bits[v]
-        while b:
-            low = b & -b
-            out.append(low.bit_length() - 1)
-            b ^= low
-        return out
-
-    def adjacency(self) -> BitMatrix:
-        return BitMatrix(self.n, self.n, self.adj_bits)
+        return f2.support(self.adj_bits[v])
 
     def non_isolated(self) -> list[int]:
         return [v for v in range(self.n) if self.adj_bits[v]]
@@ -219,29 +212,26 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
     if kind == "two_clique_adversary":
         if spec.k is None or spec.k < 1 or n != 2 * spec.k:
             raise ValueError("two_clique_adversary needs n == 2k")
-        return adversary_instance(spec.k, random_matrix(spec.k, spec.k, rng))
+        return adversary_instance(spec.k, f2.random_matrix(spec.k, spec.k, rng))
 
     raise AssertionError(kind)
 
 
-def adversary_instance(half: int, cross: BitMatrix) -> Graph:
+def adversary_instance(half: int, cross: Sequence[int]) -> Graph:
     """Two disjoint cliques of size ``half`` plus a cross bipartite pattern.
 
     Vertices 0..half-1 form one clique, half..2*half-1 the other; the cross
-    edge (i, half+j) is present exactly when ``cross`` has a 1 at (i, j).
-    Every query touching two vertices of one side is forced positive, so only
-    the cross pattern carries information.
+    edge (i, half+j) is present exactly when bit j of row word ``cross[i]``
+    is set.  Every query touching two vertices of one side is forced
+    positive, so only the cross pattern carries information.
     """
-    if cross.nrows != half or cross.ncols != half:
+    if len(cross) != half or any(r < 0 or r >> half for r in cross):
         raise ValueError("cross matrix must be half x half")
     edges = _all_pairs(list(range(half))) + _all_pairs(
         list(range(half, 2 * half))
     )
-    for i in range(half):
-        row = cross.rows[i]
-        for j in range(half):
-            if (row >> j) & 1:
-                edges.append((i, half + j))
+    for i, row in enumerate(cross):
+        edges.extend((i, half + j) for j in f2.support(row))
     return Graph(2 * half, edges)
 
 

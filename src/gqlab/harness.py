@@ -63,6 +63,9 @@ CSV_COLUMNS = (
     "ms",
 )
 
+# grid-point keys whose values learners and families use as integers
+_INT_POINT_KEYS = ("n", "m", "d", "k", "r", "l", "m_hint", "design_d")
+
 _CSV_COUNTERS = {
     "or_queries": "or_query",
     "parity_queries": "parity_query",
@@ -111,6 +114,8 @@ class ExperimentConfig:
             raise ValueError(
                 f"family {self.family!r} is not runnable with {self.learner!r}"
             )
+        if self.backend not in cgt_mod.BACKENDS:
+            raise ValueError(f"unknown backend {self.backend!r}")
         if not _is_number(self.trials, numbers.Integral) or self.trials < 0:
             raise ValueError("trials must be a nonnegative integer")
         if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
@@ -132,6 +137,11 @@ class ExperimentConfig:
         for point in self.grid:
             if "n" not in point:
                 raise ValueError("every grid point needs n")
+            for key in _INT_POINT_KEYS:
+                if key in point and not _is_number(point[key], numbers.Integral):
+                    raise ValueError(
+                        f"grid key {key!r} must be an integer, not {point[key]!r}"
+                    )
         if self.sweep is not None:
             for point in self.grid:
                 if self.sweep not in point:

@@ -14,9 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from gqlab import f2
 from gqlab.cgt import binary_indexing_design, build_nonadaptive_design, cgt_solve, decode
 from gqlab.errors import DecodeError, RetryBudgetError, ViolationError
-from gqlab.f2 import BitVector
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
@@ -50,7 +50,7 @@ def find_nonisolated(
     independence recheck, the cheap place to catch a broken contract.
     """
     side = list(side)
-    other_mask = BitVector.from_support(other, oracle.n).bits
+    other_mask = f2.from_support(other, oracle.n)
     if not side or not other_mask:
         return frozenset()
 
@@ -128,8 +128,7 @@ def learn_bipartite_bounded_degree(
             design = binary_indexing_design(len(b_side))
         else:
             design = build_nonadaptive_design(len(b_side), d, oracle.rng)
-    test_masks = [BitVector.from_support([b_side[i] for i in t], oracle.n).bits
-                  for t in design.tests]
+    test_masks = [f2.from_support([b_side[i] for i in t], oracle.n) for t in design.tests]
     edges = []
     for a in a_side:
         bit = 1 << a

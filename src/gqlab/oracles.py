@@ -17,7 +17,6 @@ import numpy as np
 
 from gqlab import f2
 from gqlab.errors import ScaleError
-from gqlab.f2 import BitVector
 from gqlab.fourier import _fwht, _subset_sizes, fourier_table, influence_profile
 from gqlab.graphs import Graph
 
@@ -85,11 +84,7 @@ def _as_mask(n: int, subset) -> int:
         if subset < 0 or subset >> n:
             raise ValueError("mask has bits outside the vertex range")
         return subset
-    if isinstance(subset, BitVector):
-        if subset.n != n:
-            raise ValueError("subset width mismatch")
-        return subset.bits
-    return BitVector.from_support(subset, n).bits
+    return f2.from_support(subset, n)
 
 
 class GraphOracle:
@@ -107,8 +102,8 @@ class GraphOracle:
     # -- classical queries ---------------------------------------------------
 
     def or_query(self, subset) -> int:
-        """1 iff the subset (an int mask over vertex ids, a BitVector or a vertex
-        iterable) induces an edge; mask bits outside 0..n-1 raise before charging."""
+        """1 iff the subset (an int mask over vertex ids or a vertex iterable)
+        induces an edge; mask bits outside 0..n-1 raise before charging."""
         mask = _as_mask(self.n, subset)
         self.ledger.charge("or_query")
         return self._induces_edge(mask)
@@ -119,12 +114,12 @@ class GraphOracle:
         self.ledger.charge("parity_query")
         return self._induced_parity(mask)
 
-    def parity_vector_query(self, v: BitVector) -> BitVector:
-        """Adjacency-matrix action on v, at the cost of two parity queries."""
-        if v.n != self.n:
+    def parity_vector_query(self, v: int) -> int:
+        """Adjacency-matrix action A v on a word v, at the cost of two parity queries."""
+        if v < 0 or v >> self.n:
             raise ValueError("vector width mismatch")
         self.ledger.charge("parity_query", 2)
-        return BitVector(self.n, f2.xor_rows([v.bits], self._graph.adj_bits)[0])
+        return f2.xor_rows([v], self._graph.adj_bits)[0]
 
     def parity_block_query(self, rows: Sequence[int], k: int) -> list[int]:
         """A B for a packed n x k block B, at the cost of two parity queries per column.
@@ -138,12 +133,11 @@ class GraphOracle:
 
     # -- copy-consuming samples ------------------------------------------------
 
-    def bell_sample(self) -> tuple[BitVector, BitVector]:
-        """Uniform s with y = A s; consumes two state copies."""
+    def bell_sample(self) -> tuple[int, int]:
+        """Uniform word s with y = A s; consumes two state copies."""
         self.ledger.charge("graph_state_copy", 2)
-        s_bits = f2.random_vector(self.n, self.rng).bits
-        y_bits = f2.xor_rows([s_bits], self._graph.adj_bits)[0]
-        return BitVector(self.n, s_bits), BitVector(self.n, y_bits)
+        s = f2.random_vector(self.n, self.rng)
+        return s, f2.xor_rows([s], self._graph.adj_bits)[0]
 
     def bell_samples(self, k: int) -> tuple[list[int], list[int]]:
         """k Bell samples as packed blocks (B, A B); consumes 2k state copies.
@@ -156,7 +150,7 @@ class GraphOracle:
         rows = f2.random_block(self.n, k, self.rng)
         return rows, f2.xor_rows(self._graph.adj_bits, rows)
 
-    def hadamard_sample(self) -> BitVector:
+    def hadamard_sample(self) -> int:
         """All-qubits X-basis measurement outcome; consumes one state copy.
 
         The outcome is uniform over x0 + col(A), where x0 . b = q(b) for every
@@ -165,14 +159,11 @@ class GraphOracle:
         """
         self.ledger.charge("graph_state_copy")
         if self._x_offset is None:
-            _, kernel = f2.solve(self._graph.adjacency(), BitVector(self.n))
-            rows = [b.bits for b in kernel]
-            q = sum(self._induced_parity(b) << i for i, b in enumerate(rows))
-            x0, _ = f2.solve(f2.BitMatrix(len(rows), self.n, rows), BitVector(len(rows), q))
-            self._x_offset = x0.bits
-        s_bits = f2.random_vector(self.n, self.rng).bits
-        y_bits = f2.xor_rows([s_bits], self._graph.adj_bits)[0]
-        return BitVector(self.n, self._x_offset ^ y_bits)
+            _, kernel = f2.solve(self._graph.adj_bits, self.n, 0)
+            q = sum(self._induced_parity(b) << i for i, b in enumerate(kernel))
+            self._x_offset, _ = f2.solve(kernel, self.n, q)
+        s = f2.random_vector(self.n, self.rng)
+        return self._x_offset ^ f2.xor_rows([s], self._graph.adj_bits)[0]
 
     # -- Fourier sampling of the OR function -----------------------------------
 
@@ -201,7 +192,7 @@ class GraphOracle:
             return frozenset((center,))
         # remaining mass is uniform over the other 2^(m+1)-1 subsets of
         # {center} + leaves, the empty set included
-        leaves = BitVector(self.n, leaf_mask).support()
+        leaves = f2.support(leaf_mask)
         while True:
             bits = int.from_bytes(self.rng.bytes((m + 1 + 7) // 8), "little")
             bits &= (1 << (m + 1)) - 1
@@ -323,15 +314,15 @@ class JuntaOracle:
                 return False
         return True
 
-    def _local_mask(self, x: BitVector) -> int:
+    def _local_mask(self, x: int) -> int:
         mask = 0
         for j, v in enumerate(self._support):
-            if x.get(v):
-                mask |= 1 << j
+            mask |= ((x >> v) & 1) << j
         return mask
 
-    def junta_query(self, x: BitVector) -> int:
-        if x.n != self.n:
+    def junta_query(self, x: int) -> int:
+        """g on the hidden variables of the word x."""
+        if x < 0 or x >> self.n:
             raise ValueError("input width mismatch")
         self.ledger.charge("junta_query")
         local = self._local_mask(x)

@@ -9,13 +9,13 @@ constrain every row.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from gqlab import f2
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
-from gqlab.f2 import BitMatrix, BitVector
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
@@ -39,29 +39,26 @@ ENUMERATION_CAP = 10_000_000
 
 @dataclass(frozen=True)
 class SampleBatch:
-    """Samples as columns: column i of B is s_i, column i of Y is A s_i.
+    """k samples as columns: column i of B is s_i, column i of Y is A s_i.
 
-    Rows are the useful view for learning: row v of Y lists v's observed
-    parity bits, and row u of B is the coefficient of a_v[u] in each of
-    them.
+    B and Y are n row words of k bits each.  Rows are the useful view for
+    learning: row v of Y lists v's observed parity bits, and row u of B is
+    the coefficient of a_v[u] in each of them.
     """
 
-    B: BitMatrix
-    Y: BitMatrix
+    B: tuple[int, ...]
+    Y: tuple[int, ...]
+    k: int
 
     @property
     def n(self) -> int:
-        return self.B.nrows
-
-    @property
-    def k(self) -> int:
-        return self.B.ncols
+        return len(self.B)
 
     def audit(self, graph: Graph) -> bool:
         """Whether Y = A B: row v of Y is the XOR of B's rows over v's neighbors."""
         if graph.n != self.n:
             raise ValueError("graph width does not match the batch")
-        return tuple(f2.xor_rows(graph.adj_bits, self.B.rows)) == self.Y.rows
+        return tuple(f2.xor_rows(graph.adj_bits, self.B)) == self.Y
 
 
 def collect_samples(
@@ -84,10 +81,10 @@ def collect_samples(
     if extend is not None:
         if extend.n != h.n:
             raise ValueError("batch width does not match the oracle")
-        rows_b = [old | new << extend.k for old, new in zip(extend.B.rows, rows_b)]
-        rows_y = [old | new << extend.k for old, new in zip(extend.Y.rows, rows_y)]
+        rows_b = [old | new << extend.k for old, new in zip(extend.B, rows_b)]
+        rows_y = [old | new << extend.k for old, new in zip(extend.Y, rows_y)]
         k += extend.k
-    return SampleBatch(BitMatrix(h.n, k, rows_b), BitMatrix(h.n, k, rows_y))
+    return SampleBatch(tuple(rows_b), tuple(rows_y), k)
 
 
 # -- finite family -----------------------------------------------------------------
@@ -225,27 +222,30 @@ def learn_bounded_degree(
     are the pairs, one from each table, whose XOR is the row's bits (Stern
     1988).  It refuses when C(n', <=d) exceeds the candidate cap.
 
-    With d above n/4 the sparse search loses its edge; the full row readout
-    is used instead and rows wider than d are marked over-degree.  With
-    ``_parity`` each sample costs two parity queries instead of two state
-    copies, and the full readout is never used: wide rows are left to the
-    caller.
+    With d above n/4 the sparse search loses its edge; the whole matrix is
+    read from Bell samples instead, as a subgraph of the complete graph, and
+    rows wider than d are marked over-degree.  With ``_parity`` each sample
+    costs two parity queries instead of two state copies, and the full
+    readout is never used: wide rows are left to the caller.
     """
     n = h.n
     if d < 1:
         raise ValueError("degree bound must be positive")
     if d > n / 4 and not _parity:
-        full = learn_arbitrary_parity(h)
+        before = h.ledger.snapshot()
+        complete = Graph(n, itertools.combinations(range(n), 2))
+        full = learn_subgraph_of(h, complete, n - 1, slack=slack)
         over = frozenset(v for v in range(n) if full.degree(v) > d)
         neighbors = {v: frozenset(full.neighbors(v)) for v in range(n) if v not in over}
-        return BoundedDegreeResult(n, d, neighbors, over, 0)
+        samples = h.ledger.delta(before)["graph_state_copy"] // 2
+        return BoundedDegreeResult(n, d, neighbors, over, samples)
 
     m_guess = m_hint if m_hint is not None else n * (n - 1) // 2
     l = math.ceil(math.log2(max(m_guess, 2))) + slack
     batch = collect_samples(h, l, parity=_parity)
-    nonzero = [v for v in range(n) if batch.Y.rows[v] != 0]
+    nonzero = [v for v in range(n) if batch.Y[v] != 0]
     neighbors: dict[int, frozenset[int]] = {
-        v: frozenset() for v in range(n) if batch.Y.rows[v] == 0
+        v: frozenset() for v in range(n) if batch.Y[v] == 0
     }
     if not nonzero:
         return BoundedDegreeResult(n, d, neighbors, frozenset(), batch.k)
@@ -261,20 +261,19 @@ def learn_bounded_degree(
             f"{total} weight-<={d} candidates over {nprime} columns "
             f"exceed the enumeration cap {ENUMERATION_CAP}"
         )
-    sigs = [batch.B.rows[u] for u in nonzero]
+    sigs = [batch.B[u] for u in nonzero]
     big = _xor_table(sigs, (d + 1) // 2)
     small = _xor_table(sigs, d // 2)
     over = set()
     for v in nonzero:
-        found = _row_supports(batch.Y.rows[v], big, small)
+        found = _row_supports(batch.Y[v], big, small)
         if len(found) > 1:
             raise AmbiguityError(f"row {v} has multiple weight-<={d} explanations")
         if not found:
             over.add(v)
         else:
             (mask,) = found
-            support = BitVector(nprime, mask).support()
-            neighbors[v] = frozenset(nonzero[j] for j in support)
+            neighbors[v] = frozenset(nonzero[j] for j in f2.support(mask))
     return BoundedDegreeResult(n, d, neighbors, frozenset(over), batch.k)
 
 
@@ -317,20 +316,15 @@ def learn_subgraph_of(
             if not cand:
                 rows[v] = frozenset()
                 continue
-            system = f2.transpose_words([batch.B.rows[u] for u in cand], batch.k)
-            solution = f2.solve(
-                BitMatrix(batch.k, len(cand), system),
-                BitVector(batch.k, batch.Y.rows[v]),
-            )
+            system = f2.transpose_words([batch.B[u] for u in cand], batch.k)
+            solution = f2.solve(system, len(cand), batch.Y[v])
             if solution is None:
                 raise AmbiguityError(f"row {v}: inconsistent system")
             particular, nullspace = solution
             if nullspace:
                 still.append(v)
                 continue
-            rows[v] = frozenset(
-                u for j, u in enumerate(cand) if particular.get(j)
-            )
+            rows[v] = frozenset(cand[j] for j in f2.support(particular))
         if not still:
             break
         pending = still
@@ -361,8 +355,7 @@ def learn_bounded_edges_parity(
     result = learn_bounded_degree(h, d, m_hint=max(m, 1), slack=slack, _parity=True)
     rows = dict(result.neighbors)
     for v in sorted(result.over_degree):
-        row = h.parity_vector_query(BitVector.basis(h.n, v))
-        rows[v] = frozenset(row.support())
+        rows[v] = frozenset(f2.support(h.parity_vector_query(1 << v)))
     # exact rows are complete, so a true claim is always reciprocated; an
     # unreciprocated one exposes a wrong sparse row
     graph = _assemble(h.n, rows)
@@ -384,7 +377,7 @@ def learn_arbitrary_parity(h: GraphOracle) -> Graph:
     for i in range(n):
         if (rows[i] >> i) & 1:
             raise AmbiguityError("oracle returned a nonzero diagonal")
-        edges.extend((i, j) for j in BitVector(n, rows[i]).support() if j > i)
+        edges.extend((i, j) for j in f2.support(rows[i]) if j > i)
     return Graph(n, edges)
 
 
@@ -405,11 +398,11 @@ def learn_star_graphstate(
     pattern = None
     for _ in range(cap):
         z = h.hadamard_sample()
-        w = z.weight()
+        w = z.bit_count()
         if w == 1:
-            center = z.support()[0]
+            center = z.bit_length() - 1
         elif w >= 2:
-            pattern = frozenset(z.support())
+            pattern = frozenset(f2.support(z))
         if center is not None and pattern is not None:
             return center, pattern - {center}
     raise RetryBudgetError(f"center or leaf pattern still unseen after {cap} samples")
@@ -433,9 +426,9 @@ def learn_clique_graphstate(
     seen_nonzero = 0
     for _ in range(cap):
         _, y = h.bell_sample()
-        if y.bits == 0:
+        if y == 0:
             continue
-        members |= set(y.support())
+        members.update(f2.support(y))
         seen_nonzero += 1
         if seen_nonzero == target_nonzero:
             return frozenset(members)

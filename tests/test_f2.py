@@ -10,14 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqlab.f2 import (
-    BitMatrix,
-    BitVector,
+    from_support,
     matvec,
     random_block,
     random_matrix,
     random_vector,
     rank,
     solve,
+    support,
     transpose_words,
     xor_rows,
 )
@@ -36,32 +36,45 @@ def span_size_rank(rows: list[int]) -> int:
     return len(span).bit_length() - 1
 
 
-def as_lists(mat: BitMatrix) -> list[list[int]]:
-    return [[mat.row(i).get(j) for j in range(mat.ncols)] for i in range(mat.nrows)]
+def as_lists(rows: list[int], ncols: int) -> list[list[int]]:
+    return [[(r >> j) & 1 for j in range(ncols)] for r in rows]
 
 
 class TestBitVector:
+    """A vector is an int word; support and from_support convert to and from
+    its list of set coordinates."""
+
     def test_round_trips(self):
-        v = BitVector.from_bits([1, 0, 1, 1, 0])
-        assert v.n == 5
-        assert v.support() == [0, 2, 3]
-        assert v.weight() == 3
-        assert BitVector.from_support([0, 2, 3], 5) == v
+        assert support(0b01101) == [0, 2, 3]
+        assert support(0) == []
+        assert from_support([0, 2, 3], 5) == 0b01101
+        assert from_support([], 0) == 0
+        wide = (1 << 200) | (1 << 64) | 1
+        assert support(wide) == [0, 64, 200]
+        assert from_support(support(wide), 201) == wide
+        assert from_support(np.array([0, 64, 200]), 201) == wide
+        rng = np.random.default_rng(17)
+        for n in (1, 7, 64, 65, 300):
+            word = random_vector(n, rng)
+            assert from_support(support(word), n) == word
+            assert all(0 <= i < n for i in support(word))
 
     def test_out_of_range_bits_rejected(self):
-        with pytest.raises(ValueError):
-            BitVector(3, 0b1000)
+        for items, n in (([3], 3), ([-1], 4), ([0, 5], 5), ([0], 0)):
+            with pytest.raises(ValueError):
+                from_support(items, n)
+        with pytest.raises(TypeError):
+            from_support([1.0], 4)
 
     def test_basis(self):
-        e2 = BitVector.basis(4, 2)
-        assert e2.support() == [2]
+        assert support(1 << 2) == [2]
+        assert from_support([2], 4) == 1 << 2
 
 
 class TestMatvec:
     def test_identity_fixes_vectors(self):
-        v = BitVector.from_bits([1, 0, 1, 1])
-        identity = BitMatrix(4, 4, [0b0001, 0b0010, 0b0100, 0b1000])
-        assert matvec(identity, v) == v
+        identity = [0b0001, 0b0010, 0b0100, 0b1000]
+        assert matvec(identity, 0b1101) == 0b1101
 
     def test_matches_entrywise_reference(self):
         rng = np.random.default_rng(11)
@@ -69,8 +82,10 @@ class TestMatvec:
             r, c = int(rng.integers(1, 9)), int(rng.integers(1, 9))
             mat = random_matrix(r, c, rng)
             vec = random_vector(c, rng)
-            expect = entrywise_matvec(as_lists(mat), [vec.get(j) for j in range(c)])
-            assert matvec(mat, vec) == BitVector.from_bits(expect)
+            expect = entrywise_matvec(as_lists(mat, c), [(vec >> j) & 1 for j in range(c)])
+            assert matvec(mat, vec) == from_support(
+                [i for i, bit in enumerate(expect) if bit], r
+            )
 
     def test_xor_rows_is_the_packed_product(self):
         # column j of M R is M times column j of R
@@ -79,58 +94,55 @@ class TestMatvec:
             r, c, w = (int(x) for x in rng.integers(1, 70, size=3))
             mat = random_matrix(r, c, rng)
             right = random_matrix(c, w, rng)
-            product = BitMatrix(r, w, xor_rows(mat.rows, right.rows))
+            product_cols = transpose_words(xor_rows(mat, right), w)
+            right_cols = transpose_words(right, w)
             for j in range(w):
-                assert product.column(j) == matvec(mat, right.column(j))
+                assert product_cols[j] == matvec(mat, right_cols[j])
         assert xor_rows([], [1, 2]) == []
 
     @given(st.integers(0, 2**12 - 1), st.integers(0, 2**12 - 1), st.data())
     @settings(max_examples=60, deadline=None)
     def test_linearity(self, a, b, data):
         rows = data.draw(st.lists(st.integers(0, 2**12 - 1), min_size=1, max_size=8))
-        mat = BitMatrix(len(rows), 12, rows)
-        u, v = BitVector(12, a), BitVector(12, b)
-        assert matvec(mat, u ^ v) == matvec(mat, u) ^ matvec(mat, v)
+        assert matvec(rows, a ^ b) == matvec(rows, a) ^ matvec(rows, b)
 
 
 class TestRank:
     def test_known_singular_matrix(self):
         # rows: r0, r1, r0^r1 -> rank 2
-        mat = BitMatrix(3, 4, [0b1010, 0b0110, 0b1100])
-        assert rank(mat) == 2
+        assert rank([0b1010, 0b0110, 0b1100], 4) == 2
 
     def test_matches_span_size_reference(self):
         rng = np.random.default_rng(7)
         for _ in range(300):
             r, c = int(rng.integers(1, 10)), int(rng.integers(1, 10))
             mat = random_matrix(r, c, rng)
-            assert rank(mat) == span_size_rank(list(mat.rows))
+            assert rank(mat, c) == span_size_rank(mat)
 
     def test_identity_full_rank(self):
-        assert rank(BitMatrix(9, 9, [1 << i for i in range(9)])) == 9
+        assert rank([1 << i for i in range(9)], 9) == 9
 
 
 class TestSolve:
-    def exhaustive_solutions(self, mat: BitMatrix, rhs: BitVector) -> set[int]:
-        return {
-            x
-            for x in range(1 << mat.ncols)
-            if matvec(mat, BitVector(mat.ncols, x)) == rhs
-        }
+    def exhaustive_solutions(self, rows: list[int], ncols: int, rhs: int) -> set[int]:
+        return {x for x in range(1 << ncols) if matvec(rows, x) == rhs}
+
+    def solution_set(self, out) -> set[int]:
+        particular, basis = out
+        got = {particular}
+        for b in basis:
+            got |= {x ^ b for x in got}
+        return got
 
     def test_known_3x3_system(self):
         # x0+x1 = 1, x1+x2 = 0, x0+x2 = 1 has exactly two solutions: 001 and 110.
-        mat = BitMatrix(3, 3, [0b011, 0b110, 0b101])
-        rhs = BitVector.from_bits([1, 0, 1])
-        expect = self.exhaustive_solutions(mat, rhs)
+        rows = [0b011, 0b110, 0b101]
+        rhs = 0b101
+        expect = self.exhaustive_solutions(rows, 3, rhs)
         assert expect == {0b001, 0b110}
-        out = solve(mat, rhs)
+        out = solve(rows, 3, rhs)
         assert out is not None
-        particular, basis = out
-        got = {particular.bits}
-        for b in basis:
-            got |= {x ^ b.bits for x in got}
-        assert got == expect
+        assert self.solution_set(out) == expect
 
     def test_solution_set_matches_exhaustive(self):
         rng = np.random.default_rng(23)
@@ -139,18 +151,15 @@ class TestSolve:
             r, c = int(rng.integers(1, 7)), int(rng.integers(1, 7))
             mat = random_matrix(r, c, rng)
             rhs = random_vector(r, rng)
-            expect = self.exhaustive_solutions(mat, rhs)
-            out = solve(mat, rhs)
+            expect = self.exhaustive_solutions(mat, c, rhs)
+            out = solve(mat, c, rhs)
             if not expect:
                 assert out is None
                 checked_inconsistent += 1
                 continue
             assert out is not None
-            particular, basis = out
-            got = {particular.bits}
-            for b in basis:
-                got |= {x ^ b.bits for x in got}
-            assert got == expect
+            assert all(b >> c == 0 for b in out[1])
+            assert self.solution_set(out) == expect
         assert checked_inconsistent > 10
 
     def test_full_rank_square_inverts_matvec(self):
@@ -158,21 +167,27 @@ class TestSolve:
         found = 0
         while found < 50:
             mat = random_matrix(6, 6, rng)
-            if rank(mat) < 6:
+            if rank(mat, 6) < 6:
                 continue
             found += 1
             x = random_vector(6, rng)
-            out = solve(mat, matvec(mat, x))
+            out = solve(mat, 6, matvec(mat, x))
             assert out is not None
             particular, basis = out
             assert basis == []
             assert particular == x
 
+    def test_shape_checks(self):
+        with pytest.raises(ValueError):
+            solve([0b01, 0b10], 2, 0b100)
+        with pytest.raises(ValueError):
+            solve([0b100], 2, 0)
+
 
 class TestRandomMatrix:
     def test_entry_frequency_near_half(self):
         rng = np.random.default_rng(41)
-        ones = sum(random_matrix(1, 1, rng).rows[0] for _ in range(100_000))
+        ones = sum(random_matrix(1, 1, rng)[0] for _ in range(100_000))
         assert abs(ones / 100_000 - 0.5) < 0.01
 
     def test_non_full_rank_frequency_bound(self):
@@ -181,7 +196,7 @@ class TestRandomMatrix:
         rng = np.random.default_rng(97)
         for k, d in [(6, 4), (8, 4), (10, 6)]:
             bad = sum(
-                rank(random_matrix(k, d, rng)) < d for _ in range(10_000)
+                rank(random_matrix(k, d, rng), d) < d for _ in range(10_000)
             )
             assert bad / 10_000 <= 4 * 2 ** -(k - d)
 
@@ -194,7 +209,7 @@ def test_random_block_matches_repeated_random_vector(n, k):
     block_rng = np.random.default_rng(1000 * n + k)
     single_rng = np.random.default_rng(1000 * n + k)
     rows = random_block(n, k, block_rng)
-    cols = [random_vector(n, single_rng).bits for _ in range(k)]
+    cols = [random_vector(n, single_rng) for _ in range(k)]
     assert len(rows) == n
     assert all(r >> k == 0 for r in rows)
     assert transpose_words(rows, k) == cols
@@ -204,15 +219,15 @@ def test_random_block_matches_repeated_random_vector(n, k):
 def test_transpose_words_round_trip():
     rng = np.random.default_rng(3)
     mat = random_matrix(7, 13, rng)
-    cols = transpose_words(mat.rows, mat.ncols)
-    assert all(mat.column(j).bits == cols[j] for j in range(13))
-    assert transpose_words(cols, mat.nrows) == list(mat.rows)
+    cols = transpose_words(mat, 13)
+    for j in range(13):
+        assert cols[j] == sum(((r >> j) & 1) << i for i, r in enumerate(mat))
+    assert transpose_words(cols, 7) == mat
 
 
 @given(st.lists(st.integers(0, 2**10 - 1), min_size=1, max_size=10))
 @settings(max_examples=80, deadline=None)
 def test_rank_bounds(rows):
-    mat = BitMatrix(len(rows), 10, rows)
-    r = rank(mat)
+    r = rank(rows, 10)
     assert 0 <= r <= min(len(rows), 10)
-    assert rank(BitMatrix(10, len(rows), transpose_words(rows, 10))) == r
+    assert rank(transpose_words(rows, 10), len(rows)) == r

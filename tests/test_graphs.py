@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab.f2 import BitMatrix
 from gqlab.graphs import (
     FamilySpec,
     Graph,
@@ -26,10 +25,10 @@ def degree_profile(g: Graph) -> list[int]:
 class TestGraphBasics:
     def test_adjacency_matches_edges(self):
         g = Graph(5, [(0, 3), (1, 2), (2, 3)])
-        adj = g.adjacency()
         for u in range(5):
             for v in range(5):
-                assert adj.row(u).get(v) == int(g.has_edge(u, v) if u != v else 0)
+                assert (g.adj_bits[u] >> v) & 1 == int(g.has_edge(u, v) if u != v else 0)
+            assert g.neighbors(u) == [v for v in range(5) if u != v and g.has_edge(u, v)]
 
     def test_duplicate_and_reversed_edges_collapse(self):
         g = Graph(4, [(2, 1), (1, 2)])
@@ -51,9 +50,9 @@ class TestGraphBasics:
         mask = data.draw(st.integers(0, 2 ** len(pairs) - 1))
         g = Graph(n, [pairs[i] for i in range(len(pairs)) if (mask >> i) & 1])
         for u in range(n):
-            assert not g.adjacency().row(u).get(u)
+            assert not (g.adj_bits[u] >> u) & 1
             for v in range(n):
-                assert g.adjacency().row(u).get(v) == g.adjacency().row(v).get(u)
+                assert (g.adj_bits[u] >> v) & 1 == (g.adj_bits[v] >> u) & 1
 
 
 class TestFamilies:
@@ -128,7 +127,7 @@ class TestFamilies:
 class TestAdversaryInstance:
     def test_structure_matches_cross_matrix(self):
         half = 3
-        cross = BitMatrix(3, 3, [0b001, 0b010, 0b100])  # identity
+        cross = [0b001, 0b010, 0b100]  # identity
         g = adversary_instance(half, cross)
         for i in range(half):
             for j in range(half):
@@ -140,6 +139,9 @@ class TestAdversaryInstance:
                     if a != b:
                         assert g.has_edge(a, b)
         assert g.m == 2 * 3 + 3
+        for bad in ([0b001, 0b010], [0b001, 0b010, 0b1000], [0b001, -1, 0b100]):
+            with pytest.raises(ValueError):
+                adversary_instance(half, bad)
 
     def test_family_kind_draws_random_cross(self):
         g = generate(FamilySpec("two_clique_adversary", n=8, k=4), rng)

@@ -112,6 +112,9 @@ def test_emit_refuses_empty_without_flag(tmp_path):
     assert (tmp_path / "x.csv").read_text().splitlines() == [",".join(CSV_COLUMNS)]
 
 
+# grid-point keys the learners and families read as integers
+INT_POINT_KEYS = ("n", "m", "d", "k", "r", "l", "m_hint", "design_d")
+
 # fields of the right name but the wrong type, arity or range
 MALFORMED = (
     {"slope_range": [0.5, 1.0, 2.0]},
@@ -123,6 +126,12 @@ MALFORMED = (
     {"min_success": 1.5},
     {"c": 0},
     {"c": "1"},
+    {"backend": "quantm_ideal"},
+    *(
+        {"grid": [{"n": 12, "m": 8} | {key: bad}]}
+        for key in INT_POINT_KEYS
+        for bad in ("3", True, 3.0)
+    ),
 )
 
 
@@ -140,6 +149,11 @@ def test_validation_rejects_bad_configs():
     for bad in MALFORMED + ({"trials": True}, {"seed": -1}, {"slope_range": ("a", 1)}):
         with pytest.raises(ValueError):
             run(small_config(**bad))
+
+
+def test_every_preset_validates():
+    for path in sorted((Path(__file__).parents[1] / "scripts").glob("*.json")):
+        config_from_json(path.read_text()).validate()
 
 
 def test_config_json_round_trip():
@@ -343,6 +357,34 @@ GOLDEN = {
 
 def test_golden_covers_every_learner():
     assert set(GOLDEN) == set(harness.LEARNERS)
+
+
+# graphstate_bounded_degree with d > n/4 reads the whole matrix
+WIDE_DEGREE_POINT = {"n": 8, "d": 3, "m": 6}
+
+
+@pytest.mark.parametrize("learner", sorted(
+    name for name, row in harness.LEARNERS.items()
+    if row.metric in ("graph_state_copy", "parity_query")
+))
+def test_trials_charge_only_their_query_model(learner):
+    # graph-state learners spend copies and no classical query; parity
+    # learners spend parity queries and no copy
+    metric = harness.LEARNERS[learner].metric
+    family, grid, slack, _ = GOLDEN[learner]
+    if learner == "graphstate_bounded_degree":
+        grid = grid + [WIDE_DEGREE_POINT]
+    cfg = ExperimentConfig(
+        learner=learner, family=family, grid=tuple(grid), trials=4, seed=7, slack=slack
+    )
+    records, summary = run(cfg)
+    for r in records:
+        assert r.ledger[metric] > 0
+        if metric == "graph_state_copy":
+            assert r.ledger["parity_query"] == r.ledger["or_query"] == 0
+        else:
+            assert r.ledger["graph_state_copy"] == 0
+    assert all(p["mean_metric"] > 0 for p in summary["points"])
 
 
 @pytest.mark.parametrize("learner", sorted(GOLDEN))

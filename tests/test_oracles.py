@@ -9,7 +9,7 @@ from scipy import stats
 import statevector as quantum
 from gqlab import f2
 from gqlab.errors import ScaleError
-from gqlab.f2 import BitVector, matvec
+from gqlab.f2 import matvec
 from gqlab.fourier import maj_level_weights, maj_truth
 from gqlab.graphs import Graph, enumerate_all_graphs
 from gqlab.oracles import QUERY_KINDS, GraphOracle, JuntaOracle, QueryLedger
@@ -105,21 +105,23 @@ def test_or_query_on_masks_matches_brute_force():
 def test_queries_accept_bitvectors_and_reject_bad_vertices():
     g = Graph(4, [(0, 1)])
     oracle = GraphOracle(g, np.random.default_rng(0))
-    assert oracle.or_query(BitVector.from_support([0, 1], 4)) == 1
+    assert oracle.or_query(0b0011) == 1
+    assert oracle.or_query([0, 1]) == 1
     with pytest.raises(ValueError):
         oracle.or_query([4])
-    with pytest.raises(ValueError):
-        oracle.parity_vector_query(BitVector.from_support([0], 5))
+    for bad in (1 << 4, -1):
+        with pytest.raises(ValueError):
+            oracle.parity_vector_query(bad)
+    assert oracle.ledger.counts["parity_query"] == 0
 
 
 def test_parity_vector_query_is_adjacency_action():
     rng = np.random.default_rng(5)
     g = random_graph(8, 11, rng)
     oracle = GraphOracle(g, rng)
-    adj = g.adjacency()
     for _ in range(30):
-        v = BitVector(8, int(rng.integers(0, 256)))
-        assert oracle.parity_vector_query(v) == matvec(adj, v)
+        v = int(rng.integers(0, 256))
+        assert oracle.parity_vector_query(v) == matvec(g.adj_bits, v)
     assert oracle.ledger.counts["parity_query"] == 60
 
 
@@ -131,9 +133,9 @@ def test_parity_block_query_matches_vector_queries_column_by_column():
     k = 13
     cols = [int(rng.integers(0, 1 << 10)) for _ in range(k)]
     rows = f2.transpose_words(cols, 10)
-    out = f2.BitMatrix(10, k, block_oracle.parity_block_query(rows, k))
+    out = f2.transpose_words(block_oracle.parity_block_query(rows, k), k)
     for i, s in enumerate(cols):
-        assert out.column(i) == vector_oracle.parity_vector_query(BitVector(10, s))
+        assert out[i] == vector_oracle.parity_vector_query(s)
     assert block_oracle.ledger.counts == vector_oracle.ledger.counts
     assert block_oracle.ledger.counts["parity_query"] == 2 * k
     with pytest.raises(ValueError):
@@ -148,10 +150,10 @@ def test_bell_sample_consistency_and_charges():
     rng = np.random.default_rng(9)
     g = random_graph(12, 20, rng)
     oracle = GraphOracle(g, rng)
-    adj = g.adjacency()
     for _ in range(200):
         s, y = oracle.bell_sample()
-        assert y == matvec(adj, s)
+        assert s >> 12 == 0
+        assert y == matvec(g.adj_bits, s)
     assert oracle.ledger.counts["graph_state_copy"] == 400
 
 
@@ -161,10 +163,9 @@ def test_bell_samples_block_equals_repeated_bell_sample(n, k):
     block_oracle = GraphOracle(g, np.random.default_rng(41))
     single_oracle = GraphOracle(g, np.random.default_rng(41))
     rows_b, rows_y = block_oracle.bell_samples(k)
-    B, Y = f2.BitMatrix(n, k, rows_b), f2.BitMatrix(n, k, rows_y)
+    cols_b, cols_y = f2.transpose_words(rows_b, k), f2.transpose_words(rows_y, k)
     for i in range(k):
-        s, y = single_oracle.bell_sample()
-        assert (B.column(i), Y.column(i)) == (s, y)
+        assert (cols_b[i], cols_y[i]) == single_oracle.bell_sample()
     assert block_oracle.ledger.counts == single_oracle.ledger.counts
     assert block_oracle.ledger.counts["graph_state_copy"] == 2 * k
     # both oracles leave the shared stream at the same place
@@ -186,7 +187,7 @@ def test_bell_sample_matches_dense_distribution():
     draws = 100_000
     for _ in range(draws):
         s, y = oracle.bell_sample()
-        label = quantum.pauli_string(s.bits, y.bits, 3)
+        label = quantum.pauli_string(s, y, 3)
         assert label in reference
         counts[label] += 1
     observed = np.array([counts[p] for p in reference])
@@ -201,7 +202,7 @@ def test_bell_sample_s_marginal_uniform():
     counts = np.zeros(16)
     for _ in range(80_000):
         s, _ = oracle.bell_sample()
-        counts[s.bits] += 1
+        counts[s] += 1
     assert stats.chisquare(counts).pvalue > 1e-3
 
 
@@ -228,7 +229,7 @@ def test_hadamard_sample_matches_dense(n, edges, seed):
     counts = np.zeros(1 << n)
     draws = 40_000
     for _ in range(draws):
-        counts[oracle.hadamard_sample().bits] += 1
+        counts[oracle.hadamard_sample()] += 1
     keep = ref > 1e-12
     assert counts[~keep].sum() == 0
     assert stats.chisquare(counts[keep], ref[keep] * draws).pvalue > 1e-3
@@ -264,7 +265,7 @@ def test_hadamard_sample_past_the_statevector_cap():
     assert g.n > quantum.MAX_STATE_QUBITS
     oracle = GraphOracle(g, rng)
     draws = 4000
-    outcomes = [oracle.hadamard_sample().bits for _ in range(draws)]
+    outcomes = [oracle.hadamard_sample() for _ in range(draws)]
     assert oracle.ledger.counts["graph_state_copy"] == draws
     for offset, block in blocks:
         ref = hadamard_reference(block)
@@ -368,10 +369,13 @@ def test_junta_query_evaluates_g_on_hidden_variables():
     table = maj_truth(3)
     oracle = JuntaOracle(10, (1, 4, 8), rng, g_table=table)
     for _ in range(50):
-        bits = int(rng.integers(0, 1 << 10))
-        x = BitVector(10, bits)
-        local = (x.get(1) << 0) | (x.get(4) << 1) | (x.get(8) << 2)
+        x = int(rng.integers(0, 1 << 10))
+        local = ((x >> 1) & 1) | ((x >> 4) & 1) << 1 | ((x >> 8) & 1) << 2
         assert oracle.junta_query(x) == table[local]
+    assert oracle.ledger.counts["junta_query"] == 50
+    for bad in (1 << 10, -1):
+        with pytest.raises(ValueError):
+            oracle.junta_query(bad)
     assert oracle.ledger.counts["junta_query"] == 50
 
 
@@ -437,8 +441,8 @@ def test_amplified_sampler_from_closed_form_weights():
         out = oracle.amplified_level_sample(l)
     assert out <= set(support)
     assert len(out) >= l
-    assert oracle.junta_query(BitVector.from_support(support, 66)) == 1
-    assert oracle.junta_query(BitVector(66, 0)) == 0
+    assert oracle.junta_query(f2.from_support(support, 66)) == 1
+    assert oracle.junta_query(0) == 0
 
 
 def test_amplified_sampler_rejects_asymmetric_table():

@@ -55,9 +55,9 @@ def test_batch_extension_appends_columns():
     grown = collect_samples(h, 5, extend=first)
     assert grown.k == 9
     # the original columns survive verbatim
-    for i in range(4):
-        assert grown.B.column(i) == first.B.column(i)
-        assert grown.Y.column(i) == first.Y.column(i)
+    low = (1 << 4) - 1
+    assert tuple(r & low for r in grown.B) == first.B
+    assert tuple(r & low for r in grown.Y) == first.Y
     assert grown.audit(g)
 
 
@@ -81,10 +81,11 @@ def test_parity_block_equals_repeated_parity_vector_query(n, k):
     block_oracle = make_oracle(g, seed=43)
     single_oracle = make_oracle(g, seed=43)
     batch = collect_samples(block_oracle, k, parity=True)
+    cols_b, cols_y = f2.transpose_words(batch.B, k), f2.transpose_words(batch.Y, k)
     for i in range(k):
         s = f2.random_vector(n, single_oracle.rng)
-        assert batch.B.column(i) == s
-        assert batch.Y.column(i) == single_oracle.parity_vector_query(s)
+        assert cols_b[i] == s
+        assert cols_y[i] == single_oracle.parity_vector_query(s)
     assert block_oracle.ledger.counts == single_oracle.ledger.counts
     assert block_oracle.ledger.counts["parity_query"] == 2 * k
     assert block_oracle.rng.random() == single_oracle.rng.random()
@@ -253,13 +254,20 @@ def test_bounded_degree_enumeration_guard():
 
 
 def test_wide_degree_bound_falls_back_to_direct_readout():
+    # d > n/4: the whole matrix comes from Bell samples as a subgraph of the
+    # complete graph, 7 + ceil(log2 8) + 7 = 17 samples and no parity query
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2)])
     ledger = QueryLedger()
     h = make_oracle(g, seed=0, ledger=ledger)
     res = learn_bounded_degree(h, d=3)
     assert res.graph() == g
-    assert ledger.counts["parity_query"] == 16
-    assert ledger.counts["graph_state_copy"] == 0
+    assert res.samples_used == 17
+    assert ledger.counts["graph_state_copy"] == 34
+    assert ledger.counts["parity_query"] == 0
+    hub = Graph(8, [(0, v) for v in range(1, 6)])
+    res = learn_bounded_degree(make_oracle(hub, seed=1), d=3)
+    assert res.over_degree == {0}
+    assert res.neighbors[1] == {0} and res.neighbors[7] == set()
 
 
 def test_bounded_degree_rejects_bad_arguments():
