@@ -142,6 +142,8 @@ class ExperimentConfig:
                     raise ValueError(
                         f"grid key {key!r} must be an integer, not {point[key]!r}"
                     )
+        for point in self.grid:
+            _check_point(self.learner, self.family, point)
         if self.sweep is not None:
             for point in self.grid:
                 if self.sweep not in point:
@@ -163,6 +165,27 @@ class ExperimentConfig:
 
 def _is_number(value, kind=numbers.Real) -> bool:
     return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_point(learner: str, family: str, point: dict) -> None:
+    """Refuse a point the learner or the family cannot run.
+
+    The family builds one instance on a throwaway generator, so a missing or
+    out-of-range key fails here instead of at trial 0; trial streams are
+    keyed by (point, trial) and do not see this draw.
+    """
+    missing = [key for key in LEARNERS[learner].needs if key not in point]
+    if missing:
+        raise ValueError(f"{learner} needs {missing} in every grid point, not {point}")
+    try:
+        if family == "all_small_graphs":
+            # built uncached: a config that is only validated should not pin
+            # up to 2^15 graphs in the trial cache
+            enumerate_all_graphs(point["r"], point["n"])
+        else:
+            _instance(family, point, np.random.default_rng(0), QueryLedger())
+    except (KeyError, ValueError, GqlabError) as exc:
+        raise ValueError(f"{family} cannot build point {point}: {exc!r}") from exc
 
 
 def config_from_json(text: str) -> ExperimentConfig:
@@ -266,6 +289,7 @@ class Learner:
     into the ``d``/``k`` CSV columns; ``m`` is the hidden graph's edge count
     (empty for defect sets and juntas).  A trial that raises a
     :class:`GqlabError` echoes the point's own ``m``, ``d`` and ``k``.
+    ``needs`` names the point keys ``solve`` reads without a default.
     """
 
     families: tuple[str, ...]
@@ -273,6 +297,7 @@ class Learner:
     solve: Callable
     truth: Callable = lambda hidden: hidden
     columns: tuple[str, ...] = ()
+    needs: tuple[str, ...] = ()
 
 
 def _slack(cfg: ExperimentConfig) -> dict:
@@ -313,7 +338,7 @@ LEARNERS = {
         ("clique",), "or_query+charged_quantum",
         lambda h, g, p, cfg, side: or_learners.learn_clique_or(
             h, p["k"], backend=cfg.backend, c=cfg.c),
-        truth=_non_isolated, columns=("k",)),
+        truth=_non_isolated, columns=("k",), needs=("k",)),
     "parity_arbitrary": Learner(
         FAMILY_KINDS, "parity_query",
         lambda h, g, p, cfg, side: parity_learners.learn_arbitrary_parity(h),
@@ -322,10 +347,11 @@ LEARNERS = {
         ("fixed_edge_count", "matching", "star", "bounded_degree", "hamiltonian_cycle"),
         "parity_query",
         lambda h, g, p, cfg, side: parity_learners.learn_bounded_edges_parity(
-            h, m=p["m"], **_slack(cfg))),
+            h, m=p["m"], **_slack(cfg)),
+        needs=("m",)),
     "graphstate_bounded_degree": Learner(
         ("bounded_degree", "matching", "hamiltonian_cycle", "star"),
-        "graph_state_copy", _solve_bounded_degree, columns=("d",)),
+        "graph_state_copy", _solve_bounded_degree, columns=("d",), needs=("d",)),
     "graphstate_star": Learner(
         ("star",), "graph_state_copy",
         lambda h, g, p, cfg, side: parity_learners.learn_star_graphstate(h),
@@ -343,18 +369,18 @@ LEARNERS = {
         ("matching_union",), "graph_state_copy",
         lambda h, g, p, cfg, base: parity_learners.learn_subgraph_of(
             h, base, d=p["d"], **_slack(cfg)),
-        columns=("d",)),
+        columns=("d",), needs=("d",)),
     "cgt": Learner(
         ("defect_set",), "charged_quantum",
         lambda test, defects, p, cfg, ledger: cgt_mod.cgt_solve(
             list(range(p["n"])), test, k=p["k"] if p.get("known_k") else None,
             backend=cfg.backend, c=cfg.c, ledger=ledger),
-        columns=("k",)),
+        columns=("k",), needs=("k",)),
     "junta_symmetric": Learner(
         ("majority_junta",), "charged_quantum",
         lambda h, support, p, cfg, side: learn_symmetric_junta(
             h, l=p.get("l", (p["k"] + 1) // 2), delta=p.get("delta", 0.01)),
-        columns=("k",)),
+        columns=("k",), needs=("k",)),
 }
 
 

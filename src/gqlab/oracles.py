@@ -334,13 +334,22 @@ class JuntaOracle:
 
     def fourier_sample(self) -> frozenset[int]:
         """Draw a subset with probability = squared coefficient of (-1)^f."""
+        mask = int(self.fourier_samples(1)[0])
+        return frozenset(self._support[j] for j in range(self.k) if (mask >> j) & 1)
+
+    def fourier_samples(self, count: int) -> np.ndarray:
+        """``count`` Fourier samples at one junta query each, as an array of masks.
+
+        Bit j of a mask stands for the j-th hidden variable.  One
+        ``rng.random(count)`` call draws the same doubles, and leaves the
+        generator in the same state, as ``count`` single draws.
+        """
         if self._dist_cum is None:
             raise ValueError("plain Fourier sampling needs the full table")
-        self.ledger.charge("junta_query")
-        u = self.rng.random()
-        mask = int(np.searchsorted(self._dist_cum, u * self._dist_cum[-1], side="right"))
-        mask = min(mask, (1 << self.k) - 1)
-        return frozenset(self._support[j] for j in range(self.k) if (mask >> j) & 1)
+        self.ledger.charge("junta_query", count)
+        u = self.rng.random(count)
+        masks = np.searchsorted(self._dist_cum, u * self._dist_cum[-1], side="right")
+        return np.minimum(masks, (1 << self.k) - 1)
 
     def amplified_level_sample(self, l: int) -> frozenset[int] | None:
         """Amplified draw of a Fourier sample at level >= l, or a miss.

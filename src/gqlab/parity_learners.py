@@ -12,7 +12,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
+
+import numpy as np
 
 from gqlab import f2
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
@@ -55,10 +57,22 @@ class SampleBatch:
         return len(self.B)
 
     def audit(self, graph: Graph) -> bool:
-        """Whether Y = A B: row v of Y is the XOR of B's rows over v's neighbors."""
+        """Whether Y = A B: row v of Y is the XOR of B's rows over v's neighbors.
+
+        The rows of ``f2.xor_rows(graph.adj_bits, B)`` are formed one at a
+        time, and the check stops at the first that differs from Y.
+        """
         if graph.n != self.n:
             raise ValueError("graph width does not match the batch")
-        return tuple(f2.xor_rows(graph.adj_bits, self.B)) == self.Y
+        for mask, y in zip(graph.adj_bits, self.Y):
+            acc = 0
+            while mask:
+                low = mask & -mask
+                acc ^= self.B[low.bit_length() - 1]
+                mask ^= low
+            if acc != y:
+                return False
+        return True
 
 
 def collect_samples(
@@ -159,47 +173,111 @@ def _enumeration_size(n_items: int, d: int) -> int:
     return sum(math.comb(n_items, l) for l in range(min(d, n_items) + 1))
 
 
-def _xor_table(sigs: Sequence[int], w: int) -> dict[int, list[int]]:
-    """Map each XOR of at most w distinct signatures to the supports giving it.
+# the join handles rows in blocks of about this many (row, small-table) keys;
+# at n' = 1000, d = 2 blocks of 2^18 decoded faster than one of 2^20, at
+# well under half the peak memory
+_JOIN_BLOCK = 1 << 18
 
-    A support is a bit mask over positions in ``sigs``; the empty support
-    sits under key 0.
+
+def _limbs(words: Sequence[int], width: int) -> np.ndarray:
+    """Words of ``width`` bits as a (len, L) array of uint64 limbs, low limb first."""
+    nbytes = 8 * max(1, -(-width // 64))
+    raw = b"".join(w.to_bytes(nbytes, "little") for w in words)
+    return np.frombuffer(raw, dtype="<u8").reshape(len(words), nbytes // 8)
+
+
+def _support_table(sigs: np.ndarray, w: int):
+    """Every support of weight <= w over the rows of ``sigs``, lightest first.
+
+    Returns ``(sig, weight, first, last, parent)`` with one entry per
+    support: the XOR of its signatures, its weight, its lowest and highest
+    position (``len(sigs)`` and -1 for the empty support, entry 0) and the
+    entry of the support without its highest position (0 for entry 0).
+    Each weight class is in lexicographic order.
     """
-    table: dict[int, list[int]] = {0: [0]}
-    level = [(0, 0, 0)]  # (support, signature, first position still free)
-    for _ in range(w):
-        level = [
-            (mask | 1 << j, acc ^ sigs[j], j + 1)
-            for mask, acc, start in level
-            for j in range(start, len(sigs))
-        ]
-        for mask, acc, _ in level:
-            table.setdefault(acc, []).append(mask)
-    return table
+    count, limbs = sigs.shape
+    sig = [np.zeros((1, limbs), dtype=np.uint64)]
+    first, last = [np.array([count])], [np.array([-1])]
+    parent = [np.zeros(1, dtype=np.intp)]
+    base = 0
+    for level in range(1, w + 1):
+        # extend each support of the previous level by one position above its last
+        ext = count - 1 - last[-1]
+        up = np.repeat(np.arange(len(ext)), ext)
+        j = np.arange(len(up)) + np.repeat(last[-1] + 1 - (np.cumsum(ext) - ext), ext)
+        sig.append(sig[-1][up] ^ sigs[j])
+        first.append(first[-1][up] if level > 1 else j)
+        last.append(j)
+        parent.append(up + base)
+        base += len(ext)
+    weight = np.repeat(np.arange(w + 1), [len(a) for a in last])
+    return (
+        np.concatenate(sig),
+        weight,
+        np.concatenate(first),
+        np.concatenate(last),
+        np.concatenate(parent),
+    )
 
 
-def _row_supports(
-    target: int,
-    big: dict[int, list[int]],
-    small: dict[int, list[int]],
-    limit: int = 2,
-) -> set[int]:
-    """Distinct supports of weight <= d whose signatures XOR to the target.
+def _decode_rows(
+    sigs: Sequence[int],
+    targets: Sequence[int],
+    width: int,
+    d: int,
+) -> Iterator[list[tuple[int, ...]]]:
+    """For each target in order, every support of weight <= d whose signatures XOR to it.
 
-    ``big`` and ``small`` are the ceil(d/2) and floor(d/2) tables.  Every
-    support of weight <= d splits into one half of each, so ``a ^ b`` over
-    ``b`` in ``small[s]`` and ``a`` in ``big[target ^ s]`` reaches them all;
-    halves that overlap cancel and still leave a support of weight <= d.
-    Stops once ``limit`` are found.
+    Signatures and targets are words of at most ``width`` bits; a support is
+    a tuple of ascending positions in ``sigs``.  The search meets in the
+    middle (Stern 1988) with a canonical split: support S pairs its
+    floor(|S|/2) lowest positions P, from the table of weight <= floor(d/2),
+    with the rest Q, from the table of weight <= ceil(d/2).  A pair is kept
+    only when 0 <= |Q| - |P| <= 1 and P lies wholly below Q, so every
+    support is found exactly once.  All rows join at once: the keys
+    ``target ^ sig(P)`` are sorted and searched in the big table's sorted
+    low limbs, runs of equal low limbs are expanded, and the higher limbs
+    are compared on the survivors.  Rows go in blocks, so the key array
+    stays near ``_JOIN_BLOCK`` entries and a caller that stops early skips
+    the remaining blocks.
     """
-    found: set[int] = set()
-    for s, halves in small.items():
-        for a in big.get(target ^ s, ()):
-            for b in halves:
-                found.add(a ^ b)
-                if len(found) >= limit:
-                    return found
-    return found
+    half = (d + 1) // 2
+    sig, weight, first, last, parent = _support_table(_limbs(sigs, width), half)
+    n_small = int(np.count_nonzero(weight <= d // 2))
+    small_low = sig[:n_small, 0]
+    big_order = np.argsort(sig[:, 0])
+    big_low = sig[big_order, 0]
+    rows_all = _limbs(targets, width)
+    step = max(1, _JOIN_BLOCK // n_small)
+    for start in range(0, len(targets), step):
+        block = rows_all[start:start + step]
+        keys = (block[:, :1] ^ small_low).ravel()
+        order = np.argsort(keys)
+        keys = keys[order]
+        lo = np.searchsorted(big_low, keys)
+        hit = np.flatnonzero(big_low.take(lo, mode="clip") == keys)
+        lo = lo[hit]
+        run = np.searchsorted(big_low, keys[hit], "right") - lo
+        at = np.repeat(lo - (np.cumsum(run) - run), run) + np.arange(run.sum())
+        q = big_order[at]
+        row, p = np.divmod(np.repeat(order[hit], run), n_small)
+        gap = weight[q] - weight[p]
+        keep = (gap >= 0) & (gap <= 1) & (last[p] < first[q])
+        if block.shape[1] > 1:
+            high = block[row[keep], 1:] ^ sig[p[keep], 1:]
+            keep[keep] = (high == sig[q[keep], 1:]).all(axis=1)
+        by_row = np.argsort(row[keep], kind="stable")
+        row, p, q = row[keep][by_row], p[keep][by_row], q[keep][by_row]
+        # each half's columns, read back through the parents from its highest one
+        pos = np.empty((len(row), 2 * half), dtype=np.intp)
+        for col in range(half - 1, -1, -1):
+            pos[:, col], pos[:, half + col] = last[p], last[q]
+            p, q = parent[p], parent[q]
+        found = [tuple(j for j in entry if j >= 0) for entry in pos.tolist()]
+        begin = 0
+        for end in np.cumsum(np.bincount(row, minlength=len(block))).tolist():
+            yield found[begin:end]
+            begin = end
 
 
 def learn_bounded_degree(
@@ -216,11 +294,14 @@ def learn_bounded_degree(
     are the non-isolated vertices.  Phase 2 adds ceil(d log2(n'/d)) + slack
     samples and searches each non-isolated row for the unique weight-<=d
     combination of non-isolated columns matching the observed bits; rows
-    with no match are reported over-degree.  The search meets in the
-    middle: it tabulates the XOR of every combination of at most ceil(d/2)
-    and of at most floor(d/2) column signatures once, and a row's matches
-    are the pairs, one from each table, whose XOR is the row's bits (Stern
-    1988).  It refuses when C(n', <=d) exceeds the candidate cap.
+    with no match are reported over-degree, and a row with two matches
+    raises.  The search meets in the middle (Stern 1988) and runs as one
+    numpy join over all non-isolated rows (``_decode_rows``): the XOR of
+    every combination of at most floor(d/2) and of at most ceil(d/2) column
+    signatures is tabulated once, and each weight-<=d combination is found
+    exactly once, as its floor(|S|/2) lowest columns from the first table
+    paired with the rest from the second.  It refuses when C(n', <=d)
+    exceeds the candidate cap.
 
     With d above n/4 the sparse search loses its edge; the whole matrix is
     read from Bell samples instead, as a subgraph of the complete graph, and
@@ -262,18 +343,15 @@ def learn_bounded_degree(
             f"exceed the enumeration cap {ENUMERATION_CAP}"
         )
     sigs = [batch.B[u] for u in nonzero]
-    big = _xor_table(sigs, (d + 1) // 2)
-    small = _xor_table(sigs, d // 2)
+    targets = [batch.Y[v] for v in nonzero]
     over = set()
-    for v in nonzero:
-        found = _row_supports(batch.Y[v], big, small)
+    for v, found in zip(nonzero, _decode_rows(sigs, targets, batch.k, d)):
         if len(found) > 1:
             raise AmbiguityError(f"row {v} has multiple weight-<={d} explanations")
         if not found:
             over.add(v)
         else:
-            (mask,) = found
-            neighbors[v] = frozenset(nonzero[j] for j in f2.support(mask))
+            neighbors[v] = frozenset(nonzero[j] for j in found[0])
     return BoundedDegreeResult(n, d, neighbors, frozenset(over), batch.k)
 
 

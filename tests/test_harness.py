@@ -127,6 +127,17 @@ MALFORMED = (
     {"c": 0},
     {"c": "1"},
     {"backend": "quantm_ideal"},
+    # points the family cannot build, or that lack a key the learner reads
+    {"learner": "or_full", "family": "hamiltonian_cycle", "grid": [{"n": 16}]},
+    {"learner": "or_full", "family": "matching", "grid": [{"n": 8}]},
+    {"learner": "or_full", "family": "star", "grid": [{"n": 8, "m": 8}]},
+    {"learner": "parity_bounded_edges", "family": "hamiltonian_cycle",
+     "grid": [{"n": 16, "k": 5}]},
+    {"learner": "graphstate_bounded_degree", "family": "matching",
+     "grid": [{"n": 16, "m": 4}]},
+    {"learner": "bell_family", "family": "all_small_graphs", "grid": [{"n": 4}]},
+    {"learner": "cgt", "family": "defect_set", "grid": [{"n": 16}]},
+    {"learner": "junta_symmetric", "family": "majority_junta", "grid": [{"n": 16}]},
     *(
         {"grid": [{"n": 12, "m": 8} | {key: bad}]}
         for key in INT_POINT_KEYS
@@ -465,9 +476,17 @@ def test_every_preset_is_pinned():
 # -- trials that raise or cheat ----------------------------------------------------
 
 
-def test_trial_error_names_its_trial(tmp_path, capsys):
+def test_trial_error_names_its_trial(tmp_path, capsys, monkeypatch):
+    # validate() builds each point's instance, so a config error never reaches
+    # a trial; a learner that raises a non-gqlab error does
+    row = harness.LEARNERS["or_full"]
+
+    def broken(h, hidden, point, cfg, side):
+        raise ValueError("matching needs m, says the learner")
+
+    monkeypatch.setitem(harness.LEARNERS, "or_full", dataclasses.replace(row, solve=broken))
     cfg = ExperimentConfig(
-        learner="or_full", family="matching", grid=({"n": 8},), trials=2, seed=5
+        learner="or_full", family="matching", grid=({"n": 8, "m": 3},), trials=2, seed=5
     )
     seed = np.random.SeedSequence(5, spawn_key=(0, 0)).generate_state(1, np.uint64)[0]
     with pytest.raises(RuntimeError) as info:

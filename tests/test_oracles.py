@@ -401,6 +401,29 @@ def test_junta_fourier_sample_distribution():
     assert oracle.ledger.counts["junta_query"] == draws
 
 
+def test_fourier_samples_block_equals_repeated_single_draws():
+    support = (1, 4, 6, 9)
+    table = np.random.default_rng(5).integers(0, 2, size=16)
+    block = JuntaOracle(12, support, np.random.default_rng(77), g_table=table)
+    single = JuntaOracle(12, support, np.random.default_rng(77), g_table=table)
+    masks = block.fourier_samples(500)
+    assert masks.shape == (500,) and masks.max() < 16
+    # reference: one rng.random() and one searchsorted per draw
+    ref_rng, cum = np.random.default_rng(77), single._dist_cum
+    for mask in masks.tolist():
+        u = ref_rng.random()
+        assert mask == min(int(np.searchsorted(cum, u * cum[-1], side="right")), 15)
+        want = frozenset(support[j] for j in range(4) if (mask >> j) & 1)
+        assert single.fourier_sample() == want
+    assert block.ledger.counts == single.ledger.counts
+    assert block.ledger.counts["junta_query"] == 500
+    assert block.rng.random() == single.rng.random()
+    assert block.fourier_samples(0).shape == (0,)
+    with pytest.raises(ValueError):
+        JuntaOracle(12, support, np.random.default_rng(0),
+                    level_weights=np.full(5, 0.2)).fourier_samples(3)
+
+
 def test_amplified_sampler_charges_and_conditions():
     rng = np.random.default_rng(73)
     support = tuple(range(3, 8))

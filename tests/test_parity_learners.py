@@ -9,12 +9,11 @@ from hypothesis import strategies as st
 
 from gqlab import f2
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
-from gqlab.graphs import FamilySpec, Graph, generate
+from gqlab.graphs import FamilySpec, Graph, enumerate_all_graphs, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.parity_learners import (
     BoundedDegreeResult,
-    _row_supports,
-    _xor_table,
+    _decode_rows,
     collect_samples,
     learn_arbitrary_parity,
     learn_bounded_degree,
@@ -46,6 +45,21 @@ def test_collected_batch_passes_audit():
     assert batch.n == 6 and batch.k == 12
     assert batch.audit(g)
     assert not batch.audit(Graph(6, [(0, 1)]))
+
+
+@pytest.mark.parametrize("k", [3, 12])
+def test_audit_agrees_with_the_full_product(k):
+    graphs = enumerate_all_graphs(5)
+    assert len(graphs) == 1024
+    batch = collect_samples(make_oracle(graphs[700], seed=k), k)
+    passed = 0
+    for g in graphs:
+        verdict = batch.audit(g)
+        assert verdict == (tuple(f2.xor_rows(g.adj_bits, batch.B)) == batch.Y)
+        passed += verdict
+    assert batch.audit(graphs[700])
+    # three samples leave many members consistent, twelve leave the hidden one
+    assert passed > 1 if k == 3 else passed == 1
 
 
 def test_batch_extension_appends_columns():
@@ -213,22 +227,32 @@ def brute_supports(target, sigs, d):
     return out
 
 
+def decoded_masks(sigs, targets, width, d):
+    """The decoder's supports per target as position masks, refusing repeats."""
+    out = []
+    for found in _decode_rows(sigs, targets, width, d):
+        masks = [sum(1 << j for j in support) for support in found]
+        assert all(list(support) == sorted(support) for support in found)
+        assert len(set(masks)) == len(masks), "a support was found twice"
+        out.append(set(masks))
+    assert len(out) == len(targets)
+    return out
+
+
 def test_row_decoder_matches_brute_force():
     rnd = random.Random(5)
     seen_ambiguous = seen_wide_unique = 0
     for _ in range(300):
-        n, d = rnd.randint(1, 10), rnd.randint(1, 4)
-        width = rnd.choice((3, 8, 70, 130))
+        n, d = rnd.randint(1, 10), rnd.randint(1, 6)
+        width = rnd.choice((3, 8, 64, 70, 128, 130))
         sigs = [rnd.getrandbits(width) for _ in range(n)]
         planted = 0
         for j in rnd.sample(range(n), rnd.randint(1, min(d, n))):
             planted ^= sigs[j]
-        big, small = _xor_table(sigs, (d + 1) // 2), _xor_table(sigs, d // 2)
-        for target in (0, planted, rnd.getrandbits(width)):
+        targets = (0, planted, rnd.getrandbits(width))
+        for target, got in zip(targets, decoded_masks(sigs, targets, width, d)):
             want = brute_supports(target, sigs, d)
-            assert _row_supports(target, big, small, limit=len(want) + 1) == want
-            capped = _row_supports(target, big, small)
-            assert capped <= want and len(capped) == min(len(want), 2)
+            assert got == want
             seen_ambiguous += len(want) > 1
             seen_wide_unique += width > 64 and len(want) == 1 and target != 0
     assert seen_ambiguous > 50 and seen_wide_unique > 50
@@ -238,12 +262,39 @@ def test_row_decoder_reads_past_the_low_64_bits():
     a, b = 0x1234_5678_9ABC_DEF0, 0x0FED_CBA9_8765_4321
     # columns 0/1 and 2/3 agree on their low 64 bits and differ above them
     sigs = [a, a ^ (1 << 100), b, b ^ (1 << 90)]
+    targets = (a, a ^ (1 << 100), a ^ (1 << 101), a ^ b)
     for d in range(1, 5):
-        big, small = _xor_table(sigs, (d + 1) // 2), _xor_table(sigs, d // 2)
-        assert _row_supports(a, big, small) == {0b0001}
-        assert _row_supports(a ^ (1 << 100), big, small) == {0b0010}
-        assert _row_supports(a ^ (1 << 101), big, small) == set()
-        assert _row_supports(a ^ b, big, small) == ({0b0101} if d > 1 else set())
+        assert decoded_masks(sigs, targets, 102, d) == [
+            {0b0001}, {0b0010}, set(), {0b0101} if d > 1 else set()
+        ]
+
+
+def test_row_decoder_expands_equal_low_limbs():
+    # four columns share their low 64 bits, so every small-table key meets a
+    # run of equal sorted keys in the big table and only the high limb decides
+    low = 0xDEAD_BEEF_0BAD_F00D
+    sigs = [low | (1 << (64 + i)) for i in range(4)] + [1 << 3, 1 << 70]
+    targets = [low ^ 1 << 65, 1 << 65 ^ 1 << 66, 1 << 3 ^ 1 << 70, low, 1 << 64 ^ 1 << 3]
+    for d in range(1, 7):
+        got = decoded_masks(sigs, targets, 71, d)
+        assert got == [brute_supports(t, sigs, d) for t in targets]
+    # with d = 4, two and four equal-low columns give the same low 64 bits
+    assert decoded_masks(sigs, [1 << 64 ^ 1 << 65], 71, 4) == [{0b0011}]
+
+
+def test_row_decoder_single_column_and_many_blocks(monkeypatch):
+    assert decoded_masks([0b101], [0b101, 0, 0b100], 3, 2) == [{1}, {0}, set()]
+    rnd = random.Random(17)
+    sigs = [rnd.getrandbits(40) for _ in range(9)]
+    targets = [
+        rnd.choice((rnd.getrandbits(40), sigs[i % 9] ^ sigs[(i * 5 + 1) % 9]))
+        for i in range(60)
+    ]
+    want = decoded_masks(sigs, targets, 40, 3)
+    # 10 small-table keys per row: a 25-key block holds two rows
+    monkeypatch.setattr("gqlab.parity_learners._JOIN_BLOCK", 25)
+    assert decoded_masks(sigs, targets, 40, 3) == want
+    assert want == [brute_supports(t, sigs, 3) for t in targets]
 
 
 def test_bounded_degree_enumeration_guard():
