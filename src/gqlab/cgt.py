@@ -2,7 +2,9 @@
 and nonadaptive designs with certified decoding.
 
 The adaptive solver only needs a membership test on subsets of a universe of
-int item ids, each subset passed as an int mask with one bit per item.
+int item ids, each subset passed as an int mask with one bit per item.  It
+builds the universe's prefix ORs once and masks out found items, so a solve
+over N items with k positives costs O(N + k log N) mask operations.
 Quantum backends compute the same answer by running the classical search
 with ledger charging paused, then bill the amplified-search cost model to
 the quantum counter; the suppressed charges stay visible for audits.
@@ -35,28 +37,37 @@ BACKENDS = ("classical_adaptive", "quantum_ideal", "quantum_time_efficient")
 
 def _adaptive_search(universe: Sequence[int], test, k: int | None) -> frozenset:
     """Binary-search the unfound items, in universe order, for one positive
-    at a time; a negative left half puts the positive in the right half."""
+    at a time; a negative left half puts the positive in the right half.
+
+    The prefix ORs over the whole universe are built once.  ``pos`` holds
+    the universe indices of the unfound items plus an end sentinel, and
+    ``live`` is the mask of the unfound items, so the unfound items at
+    ranks lo..hi-1 are ``(prefix[pos[hi]] ^ prefix[pos[lo]]) & live``.  A
+    find drops one entry of ``pos`` and clears one bit of ``live``, so a
+    solve costs O(N + k log N) mask operations for N items and k finds.
+    """
     bits = [1 << operator.index(x) for x in universe]
-    # prefix[j] is the mask of the first j unfound items, so items lo..hi-1
-    # are prefix[hi] ^ prefix[lo]; a find changes only the entries after it
     prefix = list(accumulate(bits, operator.or_, initial=0))
-    if prefix[-1].bit_count() != len(bits):
+    live = prefix[-1]
+    if live.bit_count() != len(bits):
         raise ValueError("universe items must be distinct")
+    pos = list(range(len(bits) + 1))
     found: list[int] = []
-    while bits:
-        if not test(prefix[-1]):
+    while live:
+        if not test(live):
             return frozenset(found)
         if k is not None and len(found) == k:
             raise ViolationError(f"more than {k} positives present")
-        lo, hi = 0, len(bits)
+        lo, hi = 0, len(pos) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if test(prefix[mid] ^ prefix[lo]):
+            if test((prefix[pos[mid]] ^ prefix[pos[lo]]) & live):
                 hi = mid
             else:
                 lo = mid
-        found.append(bits.pop(lo).bit_length() - 1)
-        prefix[lo:] = accumulate(bits[lo:], operator.or_, initial=prefix[lo])
+        bit = bits[pos.pop(lo)]
+        live ^= bit
+        found.append(bit.bit_length() - 1)
     return frozenset(found)
 
 

@@ -85,15 +85,16 @@ class Graph:
         For a single edge either endpoint qualifies; the smaller one is
         returned.
         """
-        if self.m == 0:
+        if not self.edges:
             return None
-        common = None
-        for u, v in sorted(self.edges):
-            pair = {u, v}
-            common = pair if common is None else (common & pair)
-            if not common:
-                return None
-        return min(common)
+        # every edge touches the center, so it has degree m and is an
+        # endpoint of any edge; with m >= 2 no other vertex has degree m
+        m = len(self.edges)
+        u, v = next(iter(self.edges))
+        for c in (u, v):  # u < v: a single edge yields the smaller endpoint
+            if self.adj_bits[c].bit_count() == m:
+                return c
+        return None
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import operator
 from contextlib import contextmanager
-from functools import reduce
+from functools import cached_property, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -176,13 +176,18 @@ class GraphOracle:
         """
         self.ledger.charge("or_query")
         if restrict is None:
-            center = self._graph.is_star()
+            center = self._star_center
             if center is not None:
                 return self._fourier_star(center)
             vertices = range(self.n)
         else:
             vertices = sorted(set(restrict))
         return self._fourier_brute(vertices)
+
+    @cached_property
+    def _star_center(self) -> int | None:
+        # found on the first unrestricted Fourier sample, not at construction
+        return self._graph.is_star()
 
     def _fourier_star(self, center: int) -> frozenset[int]:
         leaf_mask = self._graph.adj_bits[center]
@@ -284,12 +289,13 @@ class JuntaOracle:
             raise ValueError("duplicate junta variables")
         if self._support and not 0 <= self._support[0] <= self._support[-1] < n:
             raise ValueError("junta variables out of range")
+        self._support_array = np.array(self._support, dtype=np.int64)
         self.rng = rng
         self.ledger = ledger if ledger is not None else QueryLedger()
         self._table = None
         self._dist_cum = None
         self._weight_eval = weight_eval
-        self._amplified_cache: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        self._amplified_cache: dict[int, tuple[list[int], np.ndarray, float]] = {}
         if g_table is not None:
             ft = fourier_table(g_table, self.k)
             self._table = np.asarray(g_table, dtype=np.int8)
@@ -370,14 +376,19 @@ class JuntaOracle:
                 raise ValueError("no Fourier mass at or above this level")
             levels = np.arange(l, self.k + 1)
             keep = tail > 0
-            self._amplified_cache[l] = (levels[keep], tail[keep] / total, total)
-        levels, probs, total = self._amplified_cache[l]
+            # the CDF rng.choice(levels[keep], p=tail[keep] / total) builds on
+            # every call; searching it with one rng.random() draws the same
+            # level from the same stream
+            cdf = (tail[keep] / total).cumsum()
+            cdf /= cdf[-1]
+            self._amplified_cache[l] = (levels[keep].tolist(), cdf, total)
+        levels, cdf, total = self._amplified_cache[l]
         if self.rng.random() >= max(total, 1.0 - total):
             return None
         self.ledger.charge("charged_quantum", math.ceil(1.0 / math.sqrt(total)))
-        size = int(self.rng.choice(levels, p=probs))
+        size = levels[cdf.searchsorted(self.rng.random(), "right")]
         picks = self.rng.choice(self.k, size=size, replace=False)
-        return frozenset(self._support[int(j)] for j in picks)
+        return frozenset(self._support_array[picks].tolist())
 
     def influence_profile(self):
         """Influences of the public inner function; free of charge."""

@@ -157,6 +157,39 @@ def test_cgt_mask_queries_match_list_reference(data):
     assert got == expected
 
 
+def test_cgt_mask_queries_match_list_reference_at_scale():
+    # wide universes, every positive count from none to all, and promises
+    # that are absent, exact or one short; logs compare masks query by query
+    rules = {
+        "member": lambda mask, hidden: mask & hidden != 0,
+        "pair": lambda mask, hidden: (mask & hidden).bit_count() >= 2,
+    }
+    rng = np.random.default_rng(1311)
+    for size in (1, 64, 257, 299):
+        ids = [int(v) for v in rng.choice(1001, size=size, replace=False)]
+        for universe in (sorted(ids), ids):
+            for count in sorted({0, 1, size // 2, size}):
+                hidden = sum(1 << int(v) for v in rng.choice(universe, count, replace=False))
+                for k in sorted({count, max(count - 1, 0)}) + [None]:
+                    for name, rule in rules.items():
+                        ref_log, new_log = [], []
+
+                        def ref_test(items):
+                            ref_log.append(sum(1 << x for x in items))
+                            return rule(ref_log[-1], hidden)
+
+                        def new_test(mask):
+                            new_log.append(mask)
+                            return rule(mask, hidden)
+
+                        expected = _outcome(
+                            lambda: _reference_adaptive_search(universe, ref_test, k),
+                            ref_log,
+                        )
+                        got = _outcome(lambda: cgt_solve(universe, new_test, k=k), new_log)
+                        assert got == expected, (size, count, k, name)
+
+
 def test_known_k_violation_detected():
     test, _ = make_test({1, 5})
     with pytest.raises(ViolationError):

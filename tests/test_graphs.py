@@ -43,6 +43,34 @@ class TestGraphBasics:
         assert Graph(5, [(0, 1)]).is_star() == 0
         assert Graph(5, [(0, 1), (2, 3)]).is_star() is None
 
+    def test_is_star_matches_edge_intersection(self):
+        def reference(g):
+            # the common vertex of all edges, the smaller one for one edge
+            common = None
+            for u, v in sorted(g.edges):
+                common = {u, v} if common is None else common & {u, v}
+                if not common:
+                    return None
+            return min(common) if common else None
+
+        for g in enumerate_all_graphs(5):
+            assert g.is_star() == reference(g)
+        star_rng = np.random.default_rng(31)
+        for leaves in (1, 2, 3, 17, 128, 255, 298, 299):
+            order = [int(v) for v in star_rng.permutation(300)]
+            center, rest = order[0], order[1 : leaves + 1]
+            star = [(center, v) for v in rest]
+            graphs = [Graph(300, star)]
+            if leaves >= 2:
+                # a chord between two leaves leaves no common vertex
+                graphs.append(Graph(300, star + [(rest[0], rest[1])]))
+            if leaves < 299:
+                # a leaf's edge to an outside vertex: a path for one leaf
+                graphs.append(Graph(300, star + [(rest[0], order[-1])]))
+            for g in graphs:
+                assert g.is_star() == reference(g)
+            assert graphs[0].is_star() == (center if leaves > 1 else min(center, rest[0]))
+
     @given(st.integers(2, 7), st.data())
     @settings(max_examples=50, deadline=None)
     def test_adjacency_symmetric_zero_diagonal(self, n, data):

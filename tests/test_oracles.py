@@ -10,7 +10,7 @@ import statevector as quantum
 from gqlab import f2
 from gqlab.errors import ScaleError
 from gqlab.f2 import matvec
-from gqlab.fourier import maj_level_weights, maj_truth
+from gqlab.fourier import exact_half_level_weights_pm1, maj_level_weights, maj_truth
 from gqlab.graphs import Graph, enumerate_all_graphs
 from gqlab.oracles import QUERY_KINDS, GraphOracle, JuntaOracle, QueryLedger
 
@@ -466,6 +466,42 @@ def test_amplified_sampler_from_closed_form_weights():
     assert len(out) >= l
     assert oracle.junta_query(f2.from_support(support, 66)) == 1
     assert oracle.junta_query(0) == 0
+
+
+def _amplified_draw_via_choice(weights, l, support, rng):
+    # the per-draw rng.choice(levels, p=...) formula the cached CDF replaces
+    k = len(support)
+    tail = weights[l:]
+    total = float(tail.sum())
+    keep = tail > 0
+    if rng.random() >= max(total, 1.0 - total):
+        return None
+    size = int(rng.choice(np.arange(l, k + 1)[keep], p=tail[keep] / total))
+    picks = rng.choice(k, size=size, replace=False)
+    return frozenset(support[int(j)] for j in picks)
+
+
+@pytest.mark.parametrize(
+    "weights",
+    [maj_level_weights(k) for k in (9, 33, 65)]
+    + [exact_half_level_weights_pm1(k) for k in (8, 16)],
+    ids=["maj9", "maj33", "maj65", "half8", "half16"],
+)
+def test_amplified_sampler_matches_rng_choice_stream(weights):
+    # exact-half weights vanish on every odd level, so the CDF skips them
+    k = len(weights) - 1
+    support = tuple(range(1, 3 * k + 1, 3))
+    for l in sorted({1, 2, (k + 1) // 2, k}):
+        oracle = JuntaOracle(
+            3 * k + 1, support, np.random.Generator(np.random.Philox(k + l)),
+            level_weights=weights,
+        )
+        twin = np.random.Generator(np.random.Philox(k + l))
+        for _ in range(2000):
+            assert oracle.amplified_level_sample(l) == _amplified_draw_via_choice(
+                weights, l, support, twin
+            )
+        np.testing.assert_equal(oracle.rng.bit_generator.state, twin.bit_generator.state)
 
 
 def test_amplified_sampler_rejects_asymmetric_table():
