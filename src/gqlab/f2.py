@@ -165,15 +165,22 @@ def random_block(n: int, k: int, rng: np.random.Generator) -> list[int]:
 
     ``rng.bytes(nb)`` reads ceil(nb/4) uint32 words and keeps their first nb
     little-endian bytes, so one ``integers`` call of k such rows leaves the
-    same columns and the same generator state as k sequential draws.
+    same columns and the same generator state as k sequential draws.  The
+    transposed rows are zero-padded to whole 64-bit limbs and read back one
+    limb column at a time.
     """
     nb = (n + 7) // 8
     words = rng.integers(0, 1 << 32, size=(k, (nb + 3) // 4), dtype=np.uint32)
     raw = words.astype("<u4", copy=False).view(np.uint8)[:, :nb]
     cols = np.unpackbits(raw, axis=1, count=n, bitorder="little")
-    packed = np.packbits(cols.T, axis=1, bitorder="little").tobytes()
-    w = (k + 7) // 8
-    return [int.from_bytes(packed[i * w:(i + 1) * w], "little") for i in range(n)]
+    limbs = max(1, -(-k // 64))
+    padded = np.zeros((n, 8 * limbs), dtype=np.uint8)
+    padded[:, :(k + 7) // 8] = np.packbits(cols.T, axis=1, bitorder="little")
+    limb = padded.view("<u8")
+    rows = limb[:, 0].tolist()
+    for j in range(1, limbs):
+        rows = [r | high << 64 * j for r, high in zip(rows, limb[:, j].tolist())]
+    return rows
 
 
 def random_matrix(nrows: int, ncols: int, rng: np.random.Generator) -> list[int]:

@@ -35,40 +35,77 @@ FAMILY_KINDS = (
 )
 
 
-def _norm_edge(u: int, v: int) -> tuple[int, int]:
-    # coerce numpy integers; a raw int64 would overflow the bit shifts
-    u, v = operator.index(u), operator.index(v)
-    if u == v:
-        raise ValueError("self loop")
-    return (u, v) if u < v else (v, u)
-
-
 class Graph:
-    """Undirected simple graph on vertices 0..n-1 with packed adjacency rows."""
+    """Undirected simple graph on vertices 0..n-1, stored as packed row words.
 
-    __slots__ = ("n", "edges", "adj_bits")
+    The row words are the representation: bit v of ``adj_bits[u]`` is set
+    exactly when {u, v} is an edge.  ``m`` is counted once at construction,
+    ``edges`` is derived from the rows on each access, and equality and
+    hashing read ``(n, adj_bits)``.  ``Graph(n, edges)`` takes (u, v) pairs,
+    collapsing duplicate and reversed ones; ``Graph.from_rows`` takes the
+    row words themselves.
+    """
+
+    __slots__ = ("n", "adj_bits", "m")
 
     def __init__(self, n: int, edges):
         if n < 0:
             raise ValueError("n must be nonnegative")
-        norm = set()
         adj = [0] * n
         for u, v in edges:
-            u, v = _norm_edge(u, v)
-            if not 0 <= u < v < n:
-                raise ValueError(f"edge ({u},{v}) out of range")
-            if (u, v) in norm:
-                continue
-            norm.add((u, v))
+            # coerce numpy integers; a raw int64 would overflow the bit shifts
+            u, v = operator.index(u), operator.index(v)
+            if u == v:
+                raise ValueError("self loop")
+            if u < 0 or v < 0 or u >= n or v >= n:
+                raise ValueError(f"edge ({min(u, v)},{max(u, v)}) out of range")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         self.n = n
-        self.edges = frozenset(norm)
         self.adj_bits = tuple(adj)
+        self.m = sum(map(int.bit_count, adj)) >> 1
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[int]) -> Graph:
+        """The graph with these row words, one per vertex.
+
+        Raises ValueError on a negative row, a bit at or past ``len(rows)``,
+        a diagonal bit, or a bit whose mirror is clear.
+        """
+        adj = tuple(map(operator.index, rows))
+        n = len(adj)
+        # a nonnegative row has a bit at or past n exactly when it is >= 2^n
+        if adj and (min(adj) < 0 or max(adj) >> n):
+            raise ValueError(f"a row has bits outside 0..{n - 1}")
+        # every bit above the diagonal must be mirrored below it; then any
+        # other bit, on or below the diagonal, makes the total exceed twice
+        # the bits above
+        upper = 0
+        for u, r in enumerate(adj):
+            r >>= u + 1
+            while r:
+                low = r & -r
+                if not adj[u + low.bit_length()] >> u & 1:
+                    raise ValueError(f"row {u} is not mirrored")
+                upper += 1
+                r ^= low
+        if 2 * upper != sum(map(int.bit_count, adj)):
+            raise ValueError("a diagonal bit, or a bit below it without a mirror")
+        g = cls.__new__(cls)
+        g.n, g.adj_bits, g.m = n, adj, upper
+        return g
 
     @property
-    def m(self) -> int:
-        return len(self.edges)
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """Every edge as (u, v) with u < v, read from the rows."""
+        out = []
+        for u, r in enumerate(self.adj_bits):
+            r >>= u + 1
+            while r:
+                low = r & -r
+                out.append((u, u + low.bit_length()))
+                r ^= low
+        return frozenset(out)
 
     def degree(self, v: int) -> int:
         return self.adj_bits[v].bit_count()
@@ -85,29 +122,34 @@ class Graph:
         For a single edge either endpoint qualifies; the smaller one is
         returned.
         """
-        if not self.edges:
+        if not self.m:
             return None
         # every edge touches the center, so it has degree m and is an
-        # endpoint of any edge; with m >= 2 no other vertex has degree m
-        m = len(self.edges)
-        u, v = next(iter(self.edges))
-        for c in (u, v):  # u < v: a single edge yields the smaller endpoint
-            if self.adj_bits[c].bit_count() == m:
+        # endpoint of any edge; with m >= 2 no other vertex has degree m.
+        # The lowest non-isolated vertex u and its lowest neighbor v are
+        # one edge with u < v.
+        u = next(i for i, r in enumerate(self.adj_bits) if r)
+        v = (self.adj_bits[u] & -self.adj_bits[u]).bit_length() - 1
+        for c in (u, v):  # a single edge yields the smaller endpoint
+            if self.adj_bits[c].bit_count() == self.m:
                 return c
         return None
 
     def has_edge(self, u: int, v: int) -> bool:
-        return _norm_edge(u, v) in self.edges
+        u, v = operator.index(u), operator.index(v)
+        if u == v:
+            raise ValueError("self loop")
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_bits[u] >> v & 1)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Graph)
             and other.n == self.n
-            and other.edges == self.edges
+            and other.adj_bits == self.adj_bits
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.edges))
+        return hash((self.n, self.adj_bits))
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
@@ -137,15 +179,68 @@ class FamilySpec:
 def _support(n: int, size: int, rng: np.random.Generator) -> list[int]:
     if size > n:
         raise ValueError(f"support size {size} exceeds n={n}")
-    return [int(v) for v in rng.choice(n, size=size, replace=False)]
+    return rng.choice(n, size=size, replace=False).tolist()
 
 
-def _all_pairs(vertices: list[int]) -> list[tuple[int, int]]:
-    return [
-        _norm_edge(u, v)
-        for i, u in enumerate(vertices)
-        for v in vertices[i + 1 :]
-    ]
+def _triu_pairs(index: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The pairs at these positions of ``np.triu_indices(n, 1)``, in O(len) memory.
+
+    Row u of the upper triangle starts at offset u (2n - u - 1) / 2.  The
+    smaller root of that quadratic, in floating point, guesses the row; a
+    guess that rounded across a row start leaves its column outside
+    u < v < n and takes one exact step into its row.
+    """
+    i = np.asarray(index, dtype=np.int64)
+    b = 2 * n - 1
+    u = ((b - np.sqrt(b * b - 8 * i)) // 2).astype(np.int64)
+    v = i - u * (b - u) // 2 + u + 1
+    step = (v >= n).astype(np.int64) - (v <= u)
+    if step.any():
+        u += step
+        v = i - u * (b - u) // 2 + u + 1
+    return u, v
+
+
+# pair draws per block of the bounded-degree rejection sampler
+_PAIR_DRAWS = 64
+
+
+def _bounded_degree(n: int, m: int, d: int, rng: np.random.Generator) -> Graph:
+    """m edges, each uniform among the new pairs of two vertices below degree d.
+
+    A uniform pair is drawn and rejected while it is already chosen or
+    touches a full vertex, so each accepted pair is uniform among the
+    eligible ones; that is the law of a greedy pass over a uniformly
+    shuffled list of all pairs, without the list.  A pair once ineligible
+    stays so, and a draw that reaches no eligible pair with fewer than m
+    placed restarts, as the greedy pass restarts when its list runs out.
+    """
+    npairs = n * (n - 1) // 2
+    # with fewer than two vertices there is no pair to draw
+    for _ in range(200 if npairs else 0):
+        rows = [0] * n
+        placed = 0
+        while True:
+            before = placed
+            us, vs = _triu_pairs(rng.integers(npairs, size=_PAIR_DRAWS), n)
+            for u, v in zip(us.tolist(), vs.tolist()):
+                ru, rv = rows[u], rows[v]
+                if ru.bit_count() < d and rv.bit_count() < d and not ru >> v & 1:
+                    rows[u] = ru | 1 << v
+                    rows[v] = rv | 1 << u
+                    placed += 1
+                    if placed == m:
+                        return Graph.from_rows(rows)
+            if placed == before and not _eligible_pair_left(rows, d):
+                break
+    raise RuntimeError("could not place m edges under the degree bound")
+
+
+def _eligible_pair_left(rows: list[int], d: int) -> bool:
+    """Whether two vertices below degree d are not yet joined."""
+    free = [v for v, r in enumerate(rows) if r.bit_count() < d]
+    mask = sum(1 << v for v in free)
+    return any((mask & ~rows[v]) ^ (1 << v) for v in free)
 
 
 def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
@@ -157,27 +252,30 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
         if spec.m is None or spec.m < 0 or 2 * spec.m > n:
             raise ValueError("matching needs m with 2m <= n")
         sup = _support(n, 2 * spec.m, rng)
-        return Graph(n, [(sup[2 * i], sup[2 * i + 1]) for i in range(spec.m)])
+        return Graph(n, zip(sup[0::2], sup[1::2]))
 
     if kind == "hamiltonian_cycle":
         if spec.k is None or spec.k < 3:
             raise ValueError("cycle needs k >= 3 support vertices")
         sup = _support(n, spec.k, rng)
-        return Graph(
-            n, [(sup[i], sup[(i + 1) % spec.k]) for i in range(spec.k)]
-        )
+        return Graph(n, zip(sup, sup[1:] + sup[:1]))
 
     if kind == "star":
         if spec.m is None or spec.m < 1 or spec.m + 1 > n:
             raise ValueError("star needs 1 <= m <= n-1 edges")
         sup = _support(n, spec.m + 1, rng)
         center, leaves = sup[0], sup[1:]
-        return Graph(n, [(center, leaf) for leaf in leaves])
+        return Graph(n, ((center, leaf) for leaf in leaves))
 
     if kind == "clique":
         if spec.k is None or spec.k < 2:
             raise ValueError("clique needs k >= 2")
-        return Graph(n, _all_pairs(_support(n, spec.k, rng)))
+        members = _support(n, spec.k, rng)
+        mask = sum(1 << v for v in members)
+        rows = [0] * n
+        for v in members:
+            rows[v] = mask ^ 1 << v
+        return Graph.from_rows(rows)
 
     if kind == "bounded_degree":
         if spec.d is None or spec.d < 1:
@@ -187,28 +285,17 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
             raise ValueError("m exceeds what max degree d allows")
         if m == 0:
             return Graph(n, [])
-        us, vs = np.triu_indices(n, 1)
-        for _ in range(200):
-            deg = [0] * n
-            chosen: list[tuple[int, int]] = []
-            order = rng.permutation(len(us))
-            for u, v in zip(us[order].tolist(), vs[order].tolist()):
-                if deg[u] < spec.d and deg[v] < spec.d:
-                    chosen.append((u, v))
-                    deg[u] += 1
-                    deg[v] += 1
-                    if len(chosen) == m:
-                        return Graph(n, chosen)
-        raise RuntimeError("could not place m edges under the degree bound")
+        return _bounded_degree(n, m, spec.d, rng)
 
     if kind == "fixed_edge_count":
         if spec.m is None or spec.m < 0:
             raise ValueError("fixed_edge_count needs m >= 0")
-        us, vs = np.triu_indices(n, 1)
-        if spec.m > len(us):
+        npairs = n * (n - 1) // 2
+        if spec.m > npairs:
             raise ValueError("m exceeds the number of vertex pairs")
-        picks = rng.choice(len(us), size=spec.m, replace=False)
-        return Graph(n, zip(us[picks].tolist(), vs[picks].tolist()))
+        # drawn as positions in np.triu_indices(n, 1), which is never built
+        us, vs = _triu_pairs(rng.choice(npairs, size=spec.m, replace=False), n)
+        return Graph(n, zip(us.tolist(), vs.tolist()))
 
     if kind == "two_clique_adversary":
         if spec.k is None or spec.k < 1 or n != 2 * spec.k:
@@ -228,12 +315,13 @@ def adversary_instance(half: int, cross: Sequence[int]) -> Graph:
     """
     if len(cross) != half or any(r < 0 or r >> half for r in cross):
         raise ValueError("cross matrix must be half x half")
-    edges = _all_pairs(list(range(half))) + _all_pairs(
-        list(range(half, 2 * half))
-    )
-    for i, row in enumerate(cross):
-        edges.extend((i, half + j) for j in f2.support(row))
-    return Graph(2 * half, edges)
+    side = (1 << half) - 1
+    rows = [side ^ 1 << i | r << half for i, r in enumerate(cross)]
+    rows += [
+        (side ^ 1 << j) << half | col
+        for j, col in enumerate(f2.transpose_words(cross, half))
+    ]
+    return Graph.from_rows(rows)
 
 
 def enumerate_all_graphs(r: int, n: int | None = None) -> list[Graph]:

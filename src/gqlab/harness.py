@@ -225,13 +225,13 @@ class TrialRecord:
 def _matching_union(n: int, layers: int, rng) -> Graph:
     if n % 2:
         raise ValueError("matching_union needs even n")
-    edges = set()
+    rows = [0] * n
     for _ in range(layers):
-        perm = rng.permutation(n)
-        edges.update(
-            (int(min(a, b)), int(max(a, b))) for a, b in zip(perm[::2], perm[1::2])
-        )
-    return Graph(n, sorted(edges))
+        perm = rng.permutation(n).tolist()
+        for a, b in zip(perm[::2], perm[1::2]):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    return Graph.from_rows(rows)
 
 
 @functools.cache

@@ -79,14 +79,6 @@ class QueryLedger:
         return f"QueryLedger({inner})"
 
 
-def _as_mask(n: int, subset) -> int:
-    if isinstance(subset, int):
-        if subset < 0 or subset >> n:
-            raise ValueError("mask has bits outside the vertex range")
-        return subset
-    return f2.from_support(subset, n)
-
-
 class GraphOracle:
     """Query access to one hidden graph."""
 
@@ -104,15 +96,21 @@ class GraphOracle:
     def or_query(self, subset) -> int:
         """1 iff the subset (an int mask over vertex ids or a vertex iterable)
         induces an edge; mask bits outside 0..n-1 raise before charging."""
-        mask = _as_mask(self.n, subset)
+        if not isinstance(subset, int):
+            subset = f2.from_support(subset, self.n)
+        elif subset < 0 or subset >> self.n:
+            raise ValueError("mask has bits outside the vertex range")
         self.ledger.charge("or_query")
-        return self._induces_edge(mask)
+        return self._induces_edge(subset)
 
     def parity_query(self, subset) -> int:
         """Parity of the number of induced edges."""
-        mask = _as_mask(self.n, subset)
+        if not isinstance(subset, int):
+            subset = f2.from_support(subset, self.n)
+        elif subset < 0 or subset >> self.n:
+            raise ValueError("mask has bits outside the vertex range")
         self.ledger.charge("parity_query")
-        return self._induced_parity(mask)
+        return self._induced_parity(subset)
 
     def parity_vector_query(self, v: int) -> int:
         """Adjacency-matrix action A v on a word v, at the cost of two parity queries."""
@@ -126,7 +124,7 @@ class GraphOracle:
 
         ``rows`` are B's n row words of k bits; so are the returned rows.
         """
-        if len(rows) != self.n or any(r >> k for r in rows):
+        if len(rows) != self.n or rows and (min(rows) < 0 or max(rows) >> k):
             raise ValueError("block shape mismatch")
         self.ledger.charge("parity_query", 2 * k)
         return f2.xor_rows(self._graph.adj_bits, rows)
@@ -211,15 +209,17 @@ class GraphOracle:
                 out.add(leaf)
         return frozenset(out)
 
-    def _fourier_brute(self, vertices: Sequence[int]) -> frozenset[int]:
-        verts = list(vertices)
-        inside = set(verts)
-        edges = [
-            (u, v)
-            for (u, v) in self._graph.edges
-            if u in inside and v in inside
-        ]
-        relevant = sorted({u for e in edges for u in e})
+    def _fourier_brute(self, vertices: Iterable[int]) -> frozenset[int]:
+        adj = self._graph.adj_bits
+        inside = sum(1 << v for v in map(operator.index, vertices) if 0 <= v < self.n)
+        # the edges (u, v), u < v, with both ends inside, read off the rows
+        edges = []
+        ends = 0
+        for u in f2.support(inside & self._touched):
+            row = adj[u] & inside
+            ends |= row
+            edges.extend((u, v) for v in f2.support(row) if v > u)
+        relevant = f2.support(ends)
         if not relevant:
             return frozenset()
         t = len(relevant)

@@ -9,7 +9,6 @@ constrain every row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
@@ -158,11 +157,15 @@ class BoundedDegreeResult:
 
 
 def _assemble(n: int, rows: dict[int, frozenset[int]]) -> Graph:
-    """The graph whose rows these are; every neighbor claim must be returned."""
+    """The graph whose rows these are; every neighbor claim must be returned.
+
+    A claim of the row's own vertex, or one not returned (a vertex without
+    a row returns none), raises AmbiguityError.
+    """
     edges = []
     for v, nbrs in rows.items():
         for u in nbrs:
-            if v not in rows.get(u, ()):
+            if u == v or v not in rows.get(u, ()):
                 raise AmbiguityError("row assembly is not symmetric")
             if v < u:
                 edges.append((v, u))
@@ -178,12 +181,16 @@ def _enumeration_size(n_items: int, d: int) -> int:
 # well under half the peak memory
 _JOIN_BLOCK = 1 << 18
 
+_LIMB = (1 << 64) - 1
+
 
 def _limbs(words: Sequence[int], width: int) -> np.ndarray:
     """Words of ``width`` bits as a (len, L) array of uint64 limbs, low limb first."""
-    nbytes = 8 * max(1, -(-width // 64))
-    raw = b"".join(w.to_bytes(nbytes, "little") for w in words)
-    return np.frombuffer(raw, dtype="<u8").reshape(len(words), nbytes // 8)
+    out = np.empty((len(words), max(1, -(-width // 64))), dtype=np.uint64)
+    out[:, 0] = [w & _LIMB for w in words] if width > 64 else words
+    for j in range(1, out.shape[1]):
+        out[:, j] = [w >> 64 * j & _LIMB for w in words]
+    return out
 
 
 def _support_table(sigs: np.ndarray, w: int):
@@ -314,7 +321,8 @@ def learn_bounded_degree(
         raise ValueError("degree bound must be positive")
     if d > n / 4 and not _parity:
         before = h.ledger.snapshot()
-        complete = Graph(n, itertools.combinations(range(n), 2))
+        every = (1 << n) - 1
+        complete = Graph.from_rows([every ^ 1 << v for v in range(n)])
         full = learn_subgraph_of(h, complete, n - 1, slack=slack)
         over = frozenset(v for v in range(n) if full.degree(v) > d)
         neighbors = {v: frozenset(full.neighbors(v)) for v in range(n) if v not in over}
@@ -451,12 +459,9 @@ def learn_arbitrary_parity(h: GraphOracle) -> Graph:
     rows = h.parity_block_query([1 << i for i in range(n)], n)
     if f2.transpose_words(rows, n) != rows:
         raise AmbiguityError("oracle returned an asymmetric matrix")
-    edges = []
-    for i in range(n):
-        if (rows[i] >> i) & 1:
-            raise AmbiguityError("oracle returned a nonzero diagonal")
-        edges.extend((i, j) for j in f2.support(rows[i]) if j > i)
-    return Graph(n, edges)
+    if any(r >> i & 1 for i, r in enumerate(rows)):
+        raise AmbiguityError("oracle returned a nonzero diagonal")
+    return Graph.from_rows(rows)
 
 
 # -- promised shapes from state samples ----------------------------------------------------

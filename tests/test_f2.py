@@ -201,7 +201,7 @@ class TestRandomMatrix:
             assert bad / 10_000 <= 4 * 2 ** -(k - d)
 
 
-@pytest.mark.parametrize("k", [0, 1, 3, 50])
+@pytest.mark.parametrize("k", [0, 1, 3, 50, 63, 64, 65, 128, 130])
 @pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 31, 32, 33, 64, 65, 128, 300])
 def test_random_block_matches_repeated_random_vector(n, k):
     # the block's columns are the draws, in order, of k random_vector calls,

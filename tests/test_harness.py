@@ -336,7 +336,7 @@ GOLDEN = {
     ),
     "graphstate_bounded_degree": (
         "bounded_degree", [{"n": 16, "d": 2, "m": 6, "k": 3}], 0,
-        "975dac8b1f6fcd63bf142d13ce4191502e9f4bc59c5b90141b7d3f036135a380",
+        "97a4e09896bda4c65127589716738fd181d587a1afc25593dd621a08a8a87b55",
     ),
     "graphstate_star": (
         "star", [{"n": 10, "m": 3, "d": 1, "k": 2}], None,
@@ -414,7 +414,7 @@ def test_learner_csv_is_pinned(learner, tmp_path):
 # per point, decode rows up to d = 4 (preset -> sha256 of the emitted CSV).
 PRESET_GOLDEN = {
     "sweep_bounded_degree_copies":
-        "cafe8d20525301959a4496056e531c67699e459c409c08672c27f7e19ab4fe67",
+        "b3837b5e34a451e3166612d009588749c675e85e3ba55386b04751ad648cc719",
     "sweep_bounded_edges_parity":
         "ae0b72519fcb41b251de9e2a0334ee86d2a4b547f7093939cf09d3433984dd37",
 }

@@ -138,10 +138,11 @@ def test_parity_block_query_matches_vector_queries_column_by_column():
         assert out[i] == vector_oracle.parity_vector_query(s)
     assert block_oracle.ledger.counts == vector_oracle.ledger.counts
     assert block_oracle.ledger.counts["parity_query"] == 2 * k
-    with pytest.raises(ValueError):
-        block_oracle.parity_block_query(rows[:-1], k)
-    with pytest.raises(ValueError):
-        block_oracle.parity_block_query([1 << k] + rows[1:], k)
+    before = block_oracle.ledger.snapshot()
+    for bad in (rows[:-1], [1 << k] + rows[1:], rows[:-1] + [-1]):
+        with pytest.raises(ValueError):
+            block_oracle.parity_block_query(bad, k)
+    assert block_oracle.ledger.snapshot() == before
 
 
 # -- Bell samples ---------------------------------------------------------------

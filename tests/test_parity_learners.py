@@ -14,6 +14,7 @@ from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.parity_learners import (
     BoundedDegreeResult,
     _decode_rows,
+    _limbs,
     collect_samples,
     learn_arbitrary_parity,
     learn_bounded_degree,
@@ -258,6 +259,17 @@ def test_row_decoder_matches_brute_force():
     assert seen_ambiguous > 50 and seen_wide_unique > 50
 
 
+@pytest.mark.parametrize("width", [1, 63, 64, 65, 128, 129, 200])
+def test_limbs_are_low_first_uint64_words(width):
+    rnd = random.Random(width)
+    words = [rnd.getrandbits(width) for _ in range(9)] + [0, (1 << width) - 1]
+    limbs = _limbs(words, width)
+    assert limbs.dtype == np.uint64
+    assert limbs.shape == (len(words), max(1, -(-width // 64)))
+    for w, row in zip(words, limbs.tolist()):
+        assert sum(x << 64 * j for j, x in enumerate(row)) == w
+
+
 def test_row_decoder_reads_past_the_low_64_bits():
     a, b = 0x1234_5678_9ABC_DEF0, 0x0FED_CBA9_8765_4321
     # columns 0/1 and 2/3 agree on their low 64 bits and differ above them
@@ -295,6 +307,20 @@ def test_row_decoder_single_column_and_many_blocks(monkeypatch):
     monkeypatch.setattr("gqlab.parity_learners._JOIN_BLOCK", 25)
     assert decoded_masks(sigs, targets, 40, 3) == want
     assert want == [brute_supports(t, sigs, 3) for t in targets]
+
+
+def test_assembly_refuses_unreturned_claims():
+    rows = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1})}
+    path = BoundedDegreeResult(3, 2, rows, frozenset(), 0).graph()
+    assert path == Graph(3, [(0, 1), (1, 2)])
+    for bad in (
+        {**rows, 2: frozenset()},  # 1 claims 2, 2 does not claim 1
+        {0: frozenset({1}), 1: frozenset({0, 2})},  # 2 has no row
+        {**rows, 2: frozenset({1, 2})},  # 2 claims itself
+        {**rows, 0: frozenset({1, 3})},  # 3 is outside the graph
+    ):
+        with pytest.raises(AmbiguityError):
+            BoundedDegreeResult(3, 2, bad, frozenset(), 0).graph()
 
 
 def test_bounded_degree_enumeration_guard():
