@@ -21,7 +21,6 @@ from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
 __all__ = [
-    "ENUMERATION_CAP",
     "SampleBatch",
     "collect_samples",
     "BoundedDegreeResult",
@@ -33,10 +32,6 @@ __all__ = [
     "learn_star_graphstate",
     "learn_clique_graphstate",
 ]
-
-# the low-weight row search refuses when C(n', <=d) exceeds this many supports
-ENUMERATION_CAP = 10_000_000
-
 
 @dataclass(frozen=True)
 class SampleBatch:
@@ -172,25 +167,32 @@ def _assemble(n: int, rows: dict[int, frozenset[int]]) -> Graph:
     return Graph(n, edges)
 
 
-def _enumeration_size(n_items: int, d: int) -> int:
-    return sum(math.comb(n_items, l) for l in range(min(d, n_items) + 1))
+def _count_supports(n_items: int, w: int) -> int:
+    """C(n_items, <=w): the number of supports of weight at most w."""
+    return sum(math.comb(n_items, l) for l in range(min(w, n_items) + 1))
 
+
+# the row decoder refuses when its support table would hold more entries than
+# _MAX_TABLE (memory: about 76 bytes an entry, so 320 MB) or its join could
+# form more keys than _MAX_KEYS (time: about 80 ns a key, so 5 s)
+_MAX_TABLE = 1 << 22
+_MAX_KEYS = 1 << 26
 
 # the join handles rows in blocks of about this many (row, small-table) keys;
 # at n' = 1000, d = 2 blocks of 2^18 decoded faster than one of 2^20, at
 # well under half the peak memory
 _JOIN_BLOCK = 1 << 18
 
-_LIMB = (1 << 64) - 1
-
 
 def _limbs(words: Sequence[int], width: int) -> np.ndarray:
     """Words of ``width`` bits as a (len, L) array of uint64 limbs, low limb first."""
-    out = np.empty((len(words), max(1, -(-width // 64))), dtype=np.uint64)
-    out[:, 0] = [w & _LIMB for w in words] if width > 64 else words
-    for j in range(1, out.shape[1]):
-        out[:, j] = [w >> 64 * j & _LIMB for w in words]
-    return out
+    if width <= 64:
+        out = np.empty((len(words), 1), dtype=np.uint64)
+        out[:, 0] = words
+        return out
+    size = -(-width // 64)
+    raw = b"".join(w.to_bytes(8 * size, "little") for w in words)
+    return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(len(words), size)
 
 
 def _support_table(sigs: np.ndarray, w: int):
@@ -227,6 +229,31 @@ def _support_table(sigs: np.ndarray, w: int):
     )
 
 
+def _lone_supports(
+    rows: np.ndarray,
+    sig: np.ndarray,
+    weight: np.ndarray,
+    order: np.ndarray,
+    low: np.ndarray,
+    spare: int,
+) -> np.ndarray:
+    """The table entry that is each row's only support of weight <= d, or -1.
+
+    ``sig`` and ``weight`` are the table of weight <= h = ceil(d/2), ``order``
+    sorts its low limbs into ``low`` and ``spare`` is 2h - d.  If no two entries
+    share their low limbs, no nonzero dependency of weight <= 2h exists, so a
+    row equal to an entry of weight a <= spare has no second support of
+    weight <= d: the two would XOR to a dependency of weight <= a + d <= 2h.
+    """
+    lone = np.full(len(rows), -1, dtype=np.intp)
+    if np.any(low[1:] == low[:-1]):
+        return lone
+    entry = order[np.searchsorted(low, rows[:, 0]).clip(max=len(low) - 1)]
+    hit = (weight[entry] <= spare) & (sig[entry] == rows).all(axis=1)
+    lone[hit] = entry[hit]
+    return lone
+
+
 def _decode_rows(
     sigs: Sequence[int],
     targets: Sequence[int],
@@ -247,6 +274,12 @@ def _decode_rows(
     are compared on the survivors.  Rows go in blocks, so the key array
     stays near ``_JOIN_BLOCK`` entries and a caller that stops early skips
     the remaining blocks.
+
+    A row the big table certifies skips the join (``_lone_supports``): if
+    the table's signatures are distinct, no dependency of weight
+    <= 2 ceil(d/2) exists, so a row equal to an entry of weight a with
+    a + d <= 2 ceil(d/2) has no other support of weight <= d.  For odd d
+    that is every row equal to one column's signature.
     """
     half = (d + 1) // 2
     sig, weight, first, last, parent = _support_table(_limbs(sigs, width), half)
@@ -254,37 +287,46 @@ def _decode_rows(
     small_low = sig[:n_small, 0]
     big_order = np.argsort(sig[:, 0])
     big_low = sig[big_order, 0]
+
+    def join(rows):
+        """The supports of each of ``rows`` in order, one block of rows at a time."""
+        step = max(1, _JOIN_BLOCK // n_small)
+        for start in range(0, len(rows), step):
+            block = rows[start:start + step]
+            keys = (block[:, :1] ^ small_low).ravel()
+            order = np.argsort(keys)
+            keys = keys[order]
+            lo = np.searchsorted(big_low, keys)
+            hit = np.flatnonzero(big_low.take(lo, mode="clip") == keys)
+            lo = lo[hit]
+            run = np.searchsorted(big_low, keys[hit], "right") - lo
+            at = np.repeat(lo - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            q = big_order[at]
+            row, p = np.divmod(np.repeat(order[hit], run), n_small)
+            gap = weight[q] - weight[p]
+            keep = (gap >= 0) & (gap <= 1) & (last[p] < first[q])
+            if block.shape[1] > 1:
+                high = block[row[keep], 1:] ^ sig[p[keep], 1:]
+                keep[keep] = (high == sig[q[keep], 1:]).all(axis=1)
+            by_row = np.argsort(row[keep], kind="stable")
+            row, p, q = row[keep][by_row], p[keep][by_row], q[keep][by_row]
+            # each half's columns, read back through the parents from its highest one
+            pos = np.empty((len(row), 2 * half), dtype=np.intp)
+            for col in range(half - 1, -1, -1):
+                pos[:, col], pos[:, half + col] = last[p], last[q]
+                p, q = parent[p], parent[q]
+            found = [tuple(j for j in entry if j >= 0) for entry in pos.tolist()]
+            begin = 0
+            for end in np.cumsum(np.bincount(row, minlength=len(block))).tolist():
+                yield found[begin:end]
+                begin = end
+
     rows_all = _limbs(targets, width)
-    step = max(1, _JOIN_BLOCK // n_small)
-    for start in range(0, len(targets), step):
-        block = rows_all[start:start + step]
-        keys = (block[:, :1] ^ small_low).ravel()
-        order = np.argsort(keys)
-        keys = keys[order]
-        lo = np.searchsorted(big_low, keys)
-        hit = np.flatnonzero(big_low.take(lo, mode="clip") == keys)
-        lo = lo[hit]
-        run = np.searchsorted(big_low, keys[hit], "right") - lo
-        at = np.repeat(lo - (np.cumsum(run) - run), run) + np.arange(run.sum())
-        q = big_order[at]
-        row, p = np.divmod(np.repeat(order[hit], run), n_small)
-        gap = weight[q] - weight[p]
-        keep = (gap >= 0) & (gap <= 1) & (last[p] < first[q])
-        if block.shape[1] > 1:
-            high = block[row[keep], 1:] ^ sig[p[keep], 1:]
-            keep[keep] = (high == sig[q[keep], 1:]).all(axis=1)
-        by_row = np.argsort(row[keep], kind="stable")
-        row, p, q = row[keep][by_row], p[keep][by_row], q[keep][by_row]
-        # each half's columns, read back through the parents from its highest one
-        pos = np.empty((len(row), 2 * half), dtype=np.intp)
-        for col in range(half - 1, -1, -1):
-            pos[:, col], pos[:, half + col] = last[p], last[q]
-            p, q = parent[p], parent[q]
-        found = [tuple(j for j in entry if j >= 0) for entry in pos.tolist()]
-        begin = 0
-        for end in np.cumsum(np.bincount(row, minlength=len(block))).tolist():
-            yield found[begin:end]
-            begin = end
+    lone = _lone_supports(rows_all, sig, weight, big_order, big_low, 2 * half - d)
+    joined = join(rows_all[lone < 0])
+    # a certified entry has weight <= 1: one column, or the empty support
+    for entry, col in zip(lone.tolist(), last[lone].tolist()):
+        yield next(joined) if entry < 0 else [(col,) if col >= 0 else ()]
 
 
 def learn_bounded_degree(
@@ -307,8 +349,13 @@ def learn_bounded_degree(
     every combination of at most floor(d/2) and of at most ceil(d/2) column
     signatures is tabulated once, and each weight-<=d combination is found
     exactly once, as its floor(|S|/2) lowest columns from the first table
-    paired with the rest from the second.  It refuses when C(n', <=d)
-    exceeds the candidate cap.
+    paired with the rest from the second.  A row equal to one column's
+    signature skips the join when d is odd and the weight-<=ceil(d/2)
+    combinations XOR to distinct words: then no weight-<=d+1 combination
+    XORs to zero, so that column is the row's only explanation.  It refuses
+    with ScaleError when the second table would exceed ``_MAX_TABLE``
+    entries, C(n', <=ceil(d/2)), or the join ``_MAX_KEYS`` keys,
+    n' C(n', <=floor(d/2)).
 
     With d above n/4 the sparse search loses its edge; the whole matrix is
     read from Bell samples instead, as a subgraph of the complete graph, and
@@ -344,11 +391,17 @@ def learn_bounded_degree(
         phase2_k = max(1, math.ceil(d * math.log2(max(2.0, nprime / d)))) + slack
     batch = collect_samples(h, phase2_k, extend=batch, parity=_parity)
 
-    total = _enumeration_size(nprime, d)
-    if total > ENUMERATION_CAP:
+    entries = _count_supports(nprime, (d + 1) // 2)
+    if entries > _MAX_TABLE:
         raise ScaleError(
-            f"{total} weight-<={d} candidates over {nprime} columns "
-            f"exceed the enumeration cap {ENUMERATION_CAP}"
+            f"{entries} weight-<={(d + 1) // 2} supports over {nprime} columns "
+            f"exceed the decoder's table bound {_MAX_TABLE}"
+        )
+    keys = nprime * _count_supports(nprime, d // 2)
+    if keys > _MAX_KEYS:
+        raise ScaleError(
+            f"{keys} join keys for {nprime} rows at degree {d} "
+            f"exceed the decoder's key bound {_MAX_KEYS}"
         )
     sigs = [batch.B[u] for u in nonzero]
     targets = [batch.Y[v] for v in nonzero]

@@ -15,6 +15,8 @@ from gqlab.parity_learners import (
     BoundedDegreeResult,
     _decode_rows,
     _limbs,
+    _lone_supports,
+    _support_table,
     collect_samples,
     learn_arbitrary_parity,
     learn_bounded_degree,
@@ -309,6 +311,74 @@ def test_row_decoder_single_column_and_many_blocks(monkeypatch):
     assert want == [brute_supports(t, sigs, 3) for t in targets]
 
 
+def certified_columns(sigs, targets, width, d):
+    """Per target, the column ``_lone_supports`` certifies (-1: the empty support), or None."""
+    half = (d + 1) // 2
+    sig, weight, _, last, _ = _support_table(_limbs(sigs, width), half)
+    order = np.argsort(sig[:, 0])
+    lone = _lone_supports(_limbs(targets, width), sig, weight, order, sig[order, 0], 2 * half - d)
+    return [int(last[e]) if e >= 0 else None for e in lone]
+
+
+def test_row_decoder_certifies_single_columns_over_a_distinct_table():
+    rnd = random.Random(11)
+    sigs = [rnd.getrandbits(49) for _ in range(20)]
+    targets = sigs + [sigs[0] ^ sigs[1], sigs[2] ^ sigs[3] ^ sigs[4], 0]
+    for d in (1, 3, 5):
+        # every single-column row is certified with its column; the rest join
+        assert certified_columns(sigs, targets, 49, d) == list(range(20)) + [None, None, -1]
+        got = decoded_masks(sigs, targets, 49, d)
+        assert got == [brute_supports(t, sigs, d) for t in targets]
+
+
+def test_row_decoder_certificate_needs_a_distinct_table():
+    # s0 = s1 ^ s2 ^ s3 is a weight-4 dependency, so s0 ^ s1 and s2 ^ s3 share
+    # a table entry: the weight-1 row s0 is not certified and both supports return
+    rnd = random.Random(12)
+    sigs = [rnd.getrandbits(40) for _ in range(6)]
+    sigs[0] = sigs[1] ^ sigs[2] ^ sigs[3]
+    assert certified_columns(sigs, [sigs[0], sigs[5]], 40, 3) == [None, None]
+    assert decoded_masks(sigs, [sigs[0], sigs[5]], 40, 3) == [{0b000001, 0b001110}, {0b100000}]
+
+
+def test_row_decoder_does_not_certify_heavier_entries():
+    # s4 = s0 ^ s1 ^ s2 ^ s3 is a weight-5 dependency and none lighter exists,
+    # so the table is distinct and s0 is certified, but s0 ^ s1 also equals
+    # s2 ^ s3 ^ s4: a weight-2 entry is no certificate at d = 3
+    rnd = random.Random(13)
+    sigs = [rnd.getrandbits(40) for _ in range(4)]
+    sigs.append(sigs[0] ^ sigs[1] ^ sigs[2] ^ sigs[3])
+    targets = [sigs[0], sigs[0] ^ sigs[1]]
+    assert certified_columns(sigs, targets, 40, 3) == [0, None]
+    assert decoded_masks(sigs, targets, 40, 3) == [{0b00001}, {0b00011, 0b11100}]
+
+
+def test_row_decoder_certifies_no_nonzero_row_at_even_degree():
+    # s2 = s0 ^ s1 is a weight-3 dependency, invisible to the weight-<=1 table
+    # of d = 2: the single-column row s2 has a weight-2 support too
+    rnd = random.Random(14)
+    sigs = [rnd.getrandbits(40) for _ in range(5)]
+    sigs[2] = sigs[0] ^ sigs[1]
+    assert decoded_masks(sigs, [sigs[2], sigs[4]], 40, 2) == [{0b00100, 0b00011}, {0b10000}]
+    assert certified_columns(sigs, sigs, 40, 2) == [None] * 5
+    # the zero row is the empty support, entry 0 of a distinct table
+    assert certified_columns(sigs, [0], 40, 2) == [-1]
+    others = [rnd.getrandbits(40) for _ in range(8)]
+    assert certified_columns(others, others, 40, 4) == [None] * 8
+
+
+@pytest.mark.parametrize("width", [65, 70, 100, 128, 129, 130])
+def test_row_decoder_certificate_reads_the_high_limbs(width):
+    # each second target shares a column's low 64 bits but not its high ones
+    rnd = random.Random(width)
+    sigs = [rnd.getrandbits(width) for _ in range(12)]
+    targets = [t for s in sigs for t in (s, s ^ 1 << rnd.randrange(64, width))]
+    assert certified_columns(sigs, targets, width, 3) == [
+        j if i == 0 else None for j in range(12) for i in range(2)
+    ]
+    assert decoded_masks(sigs, targets, width, 3) == [brute_supports(t, sigs, 3) for t in targets]
+
+
 def test_assembly_refuses_unreturned_claims():
     rows = {0: frozenset({1}), 1: frozenset({0, 2}), 2: frozenset({1})}
     path = BoundedDegreeResult(3, 2, rows, frozenset(), 0).graph()
@@ -324,10 +394,31 @@ def test_assembly_refuses_unreturned_claims():
 
 
 def test_bounded_degree_enumeration_guard():
-    matching = [(2 * i, 2 * i + 1) for i in range(130)]
-    h = make_oracle(Graph(260, matching), seed=0)
-    with pytest.raises(ScaleError):
-        learn_bounded_degree(h, d=4, m_hint=130)
+    # n' = 1024 at d = 4: the join would form 1024 * C(1024, <=2), about 5e8 keys
+    matching = [(2 * i, 2 * i + 1) for i in range(512)]
+    h = make_oracle(Graph(1024, matching), seed=0)
+    with pytest.raises(ScaleError, match="key bound"):
+        learn_bounded_degree(h, d=4, m_hint=512)
+
+
+def test_bounded_degree_table_bound():
+    # n' = 3000 at d = 3: C(3000, <=2), about 4.5e6 table entries, while the
+    # join would form only 3000 * 3001 keys
+    matching = [(2 * i, 2 * i + 1) for i in range(1500)]
+    h = make_oracle(Graph(3000, matching), seed=0)
+    with pytest.raises(ScaleError, match="table bound"):
+        learn_bounded_degree(h, d=3, m_hint=1500)
+
+
+def test_bounded_degree_decodes_past_the_old_candidate_cap():
+    # C(n', <=3) is above 10^7 here, which the candidate cap refused; the
+    # table holds C(n', <=2) entries and the join forms n' (n' + 1) keys
+    g = generate(FamilySpec("bounded_degree", 512, d=3, m=704), np.random.default_rng(0))
+    nprime = sum(g.degree(v) > 0 for v in range(512))
+    assert sum(math.comb(nprime, l) for l in range(4)) > 10**7
+    for seed in range(2):
+        res = learn_bounded_degree(make_oracle(g, seed=seed), d=3, m_hint=g.m)
+        assert res.graph() == g
 
 
 def test_wide_degree_bound_falls_back_to_direct_readout():
