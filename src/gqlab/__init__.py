@@ -16,8 +16,6 @@ from gqlab.fourier import (
     exact_half_coefficient_01,
     exact_half_level_weights,
     fourier_table,
-    influence_profile,
-    learn_high_influence_junta,
     learn_symmetric_junta,
     maj_coefficient,
     maj_level_weights,
@@ -87,7 +85,6 @@ __all__ = [
     "exact_half_level_weights",
     "fourier_table",
     "generate",
-    "influence_profile",
     "learn_arbitrary_parity",
     "learn_bipartite_edges",
     "learn_bounded_degree",
@@ -96,7 +93,6 @@ __all__ = [
     "learn_clique_or",
     "learn_from_family",
     "learn_graph_or",
-    "learn_high_influence_junta",
     "learn_star_graphstate",
     "learn_star_or",
     "learn_subgraph_of",

@@ -7,7 +7,10 @@ builds the universe's prefix ORs once and masks out found items, so a solve
 over N items with k positives costs O(N + k log N) mask operations.
 Quantum backends compute the same answer by running the classical search
 with ledger charging paused, then bill the amplified-search cost model to
-the quantum counter; the suppressed charges stay visible for audits.
+the quantum counter: ceil(sqrt(k)) rounds for k promised positives (times
+log2(k+1) log2(log2(k+3)) on the time-efficient backend), or the sum of
+that charge over guess-and-double stages when k is not promised.  The
+suppressed charges stay visible for audits.
 """
 
 from __future__ import annotations
@@ -71,20 +74,20 @@ def _adaptive_search(universe: Sequence[int], test, k: int | None) -> frozenset:
     return frozenset(found)
 
 
-def _quantum_rounds(count: int, c: float, time_efficient: bool) -> int:
+def _quantum_rounds(count: int, time_efficient: bool) -> int:
     if count <= 0:
         return 0
-    rounds = c * math.sqrt(count)
+    rounds = math.sqrt(count)
     if time_efficient:
         rounds *= math.log2(count + 1) * math.log2(math.log2(count + 3))
     return math.ceil(rounds)
 
 
-def _doubling_charge(found: int, c: float, time_efficient: bool) -> int:
+def _doubling_charge(found: int, time_efficient: bool) -> int:
     # guess-and-double over the positive count; every stage bills in full
     stages = math.ceil(math.log2(found)) if found > 1 else 0
     return sum(
-        _quantum_rounds(1 << i, c, time_efficient) for i in range(stages + 1)
+        _quantum_rounds(1 << i, time_efficient) for i in range(stages + 1)
     )
 
 
@@ -93,7 +96,6 @@ def cgt_solve(
     test: Callable[[int], bool],
     k: int | None = None,
     backend: str = "classical_adaptive",
-    c: float = 1.0,
     ledger: QueryLedger | None = None,
 ) -> frozenset:
     """Identify every positive item, spending queries per the chosen backend.
@@ -119,10 +121,10 @@ def cgt_solve(
     if k is not None:
         if len(found) != k:
             raise ViolationError(f"promised {k} positives, found {len(found)}")
-        ledger.charge("charged_quantum", _quantum_rounds(k, c, time_efficient))
+        ledger.charge("charged_quantum", _quantum_rounds(k, time_efficient))
     else:
         ledger.charge(
-            "charged_quantum", _doubling_charge(len(found), c, time_efficient)
+            "charged_quantum", _doubling_charge(len(found), time_efficient)
         )
     return found
 
@@ -144,10 +146,11 @@ class NonadaptiveDesign:
         return tuple(1 if t & pos else 0 for t in self.tests)
 
 
-def _is_disjunct(columns: list[frozenset[int]], d: int, rng, exhaustive_limit: int = 20) -> bool:
-    """Check d-disjunctness: no column is covered by any d others."""
+def _is_disjunct(columns: list[frozenset[int]], d: int, rng) -> bool:
+    """Check d-disjunctness: no column is covered by any d others; exactly
+    up to 20 columns, by 10,000 random (d+1)-tuples above."""
     n = len(columns)
-    if n <= exhaustive_limit:
+    if n <= 20:
         for x in range(n):
             others = [i for i in range(n) if i != x]
             for group in combinations(others, min(d, len(others))):

@@ -51,16 +51,11 @@ def main(argv=None) -> int:
             overrides["fmt"] = args.format
         if overrides:
             cfg = dataclasses.replace(cfg, **overrides)
-        cfg.validate()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
-        print(f"gqlab: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         records, summary = run(cfg)
         if cfg.out:
             emit(records, cfg.out, cfg.fmt, allow_empty=True)
-    except (GqlabError, RuntimeError, OSError) as exc:
+    except (GqlabError, RuntimeError, OSError, ValueError) as exc:
+        # ValueError: unparsable JSON, or a config run() refuses before any trial
         print(f"gqlab: {exc}", file=sys.stderr)
         return 2
     print(json.dumps(summary, indent=2))

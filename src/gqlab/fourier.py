@@ -16,14 +16,12 @@ from typing import Sequence
 
 import numpy as np
 
-from gqlab.errors import RetryBudgetError, ScaleError, ViolationError
+from gqlab.errors import RetryBudgetError, ScaleError
 
 __all__ = [
     "MAX_TABLE_VARS",
     "FourierTable",
-    "InfluenceProfile",
     "fourier_table",
-    "influence_profile",
     "level_weights_from_table",
     "maj_truth",
     "maj_coefficient",
@@ -33,7 +31,6 @@ __all__ = [
     "exact_half_level_weights",
     "exact_half_level_weights_pm1",
     "learn_symmetric_junta",
-    "learn_high_influence_junta",
     "BVResult",
     "MAX_BV_QUBITS",
     "bv_with_size_oracle",
@@ -76,16 +73,6 @@ class FourierTable:
         return level_weights_from_table(self)
 
 
-@dataclass(frozen=True)
-class InfluenceProfile:
-    k: int
-    influences: tuple[float, ...]
-
-    @property
-    def min_influence(self) -> float:
-        return min(self.influences)
-
-
 def fourier_table(truth: Sequence[int], k: int) -> FourierTable:
     if k > MAX_TABLE_VARS:
         raise ScaleError(f"fourier_table capped at {MAX_TABLE_VARS} variables")
@@ -112,17 +99,6 @@ def level_weights_from_table(ft: FourierTable) -> np.ndarray:
     weights = np.zeros(ft.k + 1)
     np.add.at(weights, _subset_sizes(ft.k), ft.coeffs**2)
     return weights
-
-
-def influence_profile(truth: Sequence[int], k: int) -> InfluenceProfile:
-    """Per-variable influence: total squared coefficient mass on sets containing j."""
-    ft = fourier_table(truth, k)
-    masks = np.arange(1 << k, dtype=np.uint32)
-    sq = ft.coeffs**2
-    infl = tuple(
-        float(np.sum(sq[(masks >> j) & 1 == 1])) for j in range(k)
-    )
-    return InfluenceProfile(k, infl)
 
 
 # -- majority ---------------------------------------------------------------
@@ -241,32 +217,6 @@ def learn_symmetric_junta(
     raise RetryBudgetError(
         f"{successes}/{r} amplified samples after {4 * r} rounds"
     )
-
-
-def learn_high_influence_junta(
-    handle,
-    eps: float,
-    delta: float = 0.01,
-) -> frozenset[int]:
-    """Recover the hidden variable set when every variable has influence >= eps.
-
-    Takes q = ceil(ln(k/delta)/eps) + ceil(1/eps) plain Fourier samples and
-    unions the supports; a variable of influence eps is missed by all q with
-    probability at most (1-eps)^q.
-    """
-    if not 0 < eps <= 1:
-        raise ValueError("eps must lie in (0, 1]")
-    profile = handle.influence_profile()
-    if profile.min_influence < eps - 1e-12:
-        raise ViolationError(
-            f"influence precondition fails: min={profile.min_influence:.4f} < {eps}"
-        )
-    k = handle.k
-    q = math.ceil(math.log(k / delta) / eps) + math.ceil(1 / eps)
-    found: set[int] = set()
-    for _ in range(q):
-        found |= handle.fourier_sample()
-    return frozenset(found)
 
 
 # -- exact-phase recovery ------------------------------------------------------

@@ -283,6 +283,9 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
         m = spec.m if spec.m is not None else int(rng.integers(0, n * spec.d // 2 + 1))
         if 2 * m > n * spec.d:
             raise ValueError("m exceeds what max degree d allows")
+        # below both bounds such a graph exists, so the sampler finds one
+        if m > n * (n - 1) // 2:
+            raise ValueError("m exceeds the number of vertex pairs")
         if m == 0:
             return Graph(n, [])
         return _bounded_degree(n, m, spec.d, rng)

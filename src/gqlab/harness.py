@@ -14,7 +14,8 @@ Family names accepted per learner:
   perfect matchings with a hidden half-density subgraph,
 * ``defect_set``: a hidden ``k``-subset of ``n`` items under membership
   tests (group testing),
-* ``majority_junta``: majority of ``k`` hidden variables out of ``n``.
+* ``majority_junta``: majority of ``k`` hidden variables out of ``n``,
+  learned from amplified Fourier samples at level ``(k+1)//2``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import numbers
 import os
 import statistics
 import time
+from collections.abc import Mapping, Sequence
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
@@ -64,7 +66,7 @@ CSV_COLUMNS = (
 )
 
 # grid-point keys whose values learners and families use as integers
-_INT_POINT_KEYS = ("n", "m", "d", "k", "r", "l", "m_hint", "design_d")
+_INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint", "design_d")
 
 _CSV_COUNTERS = {
     "or_queries": "or_query",
@@ -80,7 +82,7 @@ class ExperimentConfig:
 
     ``grid`` entries are plain dicts of point parameters (``n`` plus
     whatever the family and learner need: ``m``, ``k``, ``d``, ``r``,
-    ``m_hint``, ``l``, ``known_k``...).  ``slack`` of None keeps each
+    ``m_hint``, ``known_k``...).  ``slack`` of None keeps each
     learner's own default.  ``sweep`` names the grid key driving the
     log-log slope fit; ``metric`` picks the ledger counter (terms may be
     summed with ``+``), defaulting per learner.
@@ -92,7 +94,6 @@ class ExperimentConfig:
     trials: int = 100
     seed: int = 0
     backend: str = "classical_adaptive"
-    c: float = 1.0
     slack: int | None = None
     sweep: str | None = None
     metric: str | None = None
@@ -103,6 +104,12 @@ class ExperimentConfig:
     fmt: str = "csv"
 
     def __post_init__(self):
+        if not isinstance(self.grid, Sequence) or not all(
+            isinstance(p, Mapping) for p in self.grid
+        ):
+            raise ValueError(
+                f"grid must be a list of point objects, not {self.grid!r}"
+            )
         object.__setattr__(self, "grid", tuple(dict(p) for p in self.grid))
         if self.slope_range is not None:
             object.__setattr__(self, "slope_range", tuple(self.slope_range))
@@ -120,8 +127,6 @@ class ExperimentConfig:
             raise ValueError("trials must be a nonnegative integer")
         if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
-        if not _is_number(self.c) or not self.c > 0:
-            raise ValueError("c must be a positive number")
         if self.min_success is not None and not (
             _is_number(self.min_success) and 0 <= self.min_success <= 1
         ):
@@ -196,8 +201,6 @@ def config_from_json(text: str) -> ExperimentConfig:
     extra = set(data) - known
     if extra:
         raise ValueError(f"unknown config fields: {sorted(extra)}")
-    if "grid" in data:
-        data["grid"] = tuple(data["grid"])
     try:
         return ExperimentConfig(**data)
     except TypeError as exc:
@@ -326,18 +329,18 @@ LEARNERS = {
     "or_full": Learner(
         FAMILY_KINDS, "or_query",
         lambda h, g, p, cfg, side: or_learners.learn_graph_or(
-            h, m_hint=p.get("m_hint", g.m), backend=cfg.backend, c=cfg.c,
+            h, m_hint=p.get("m_hint", g.m), backend=cfg.backend,
             d=p.get("design_d")),
         columns=("d", "k")),
     "or_star": Learner(
         ("star",), "or_query+charged_quantum",
         lambda h, g, p, cfg, side: set(
-            or_learners.learn_star_or(h, backend=cfg.backend, c=cfg.c).edges()),
+            or_learners.learn_star_or(h, backend=cfg.backend).edges()),
         truth=lambda g: g.edges),
     "or_clique": Learner(
         ("clique",), "or_query+charged_quantum",
         lambda h, g, p, cfg, side: or_learners.learn_clique_or(
-            h, p["k"], backend=cfg.backend, c=cfg.c),
+            h, p["k"], backend=cfg.backend),
         truth=_non_isolated, columns=("k",), needs=("k",)),
     "parity_arbitrary": Learner(
         FAMILY_KINDS, "parity_query",
@@ -374,12 +377,12 @@ LEARNERS = {
         ("defect_set",), "charged_quantum",
         lambda test, defects, p, cfg, ledger: cgt_mod.cgt_solve(
             list(range(p["n"])), test, k=p["k"] if p.get("known_k") else None,
-            backend=cfg.backend, c=cfg.c, ledger=ledger),
+            backend=cfg.backend, ledger=ledger),
         columns=("k",), needs=("k",)),
     "junta_symmetric": Learner(
         ("majority_junta",), "charged_quantum",
         lambda h, support, p, cfg, side: learn_symmetric_junta(
-            h, l=p.get("l", (p["k"] + 1) // 2), delta=p.get("delta", 0.01)),
+            h, l=(p["k"] + 1) // 2),
         columns=("k",), needs=("k",)),
 }
 

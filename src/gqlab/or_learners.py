@@ -40,7 +40,6 @@ def find_nonisolated(
     side: Sequence[int],
     other: Sequence[int],
     backend: str = "classical_adaptive",
-    c: float = 1.0,
 ) -> frozenset[int]:
     """All vertices of ``side`` with a neighbor in ``other``.
 
@@ -57,7 +56,7 @@ def find_nonisolated(
     def test(subset):
         return oracle.or_query(subset | other_mask) == 1
 
-    found = cgt_solve(side, test, backend=backend, c=c, ledger=oracle.ledger)
+    found = cgt_solve(side, test, backend=backend, ledger=oracle.ledger)
     if len(found) == len(side):
         if oracle.or_query(other_mask) or oracle.or_query(side):
             raise ViolationError("a queried side is not an independent set")
@@ -69,7 +68,6 @@ def learn_bipartite_edges(
     a_side: Sequence[int],
     b_side: Sequence[int],
     backend: str = "classical_adaptive",
-    c: float = 1.0,
 ) -> list[tuple[int, int]]:
     """All edges between two independent sets.
 
@@ -83,13 +81,13 @@ def learn_bipartite_edges(
         return []
     if oracle.or_query(a_side + b_side) == 0:
         return []
-    actives = find_nonisolated(oracle, a_side, b_side, backend=backend, c=c)
+    actives = find_nonisolated(oracle, a_side, b_side, backend=backend)
     edges = []
     for a in sorted(actives):
         def test(subset, _bit=1 << a):
             return oracle.or_query(subset | _bit) == 1
 
-        hits = cgt_solve(b_side, test, backend=backend, c=c, ledger=oracle.ledger)
+        hits = cgt_solve(b_side, test, backend=backend, ledger=oracle.ledger)
         if not hits:
             raise ViolationError("active vertex lost its neighbors; sides not independent?")
         edges.extend((_norm(a, b)) for b in sorted(hits))
@@ -182,7 +180,6 @@ def learn_cross_edges_colored(
     y_side: Sequence[int],
     known_edges,
     backend: str = "classical_adaptive",
-    c: float = 1.0,
     d: int | None = None,
 ) -> list[tuple[int, int]]:
     """All edges between two blocks whose internal edges are already known.
@@ -200,7 +197,7 @@ def learn_cross_edges_colored(
             if d is not None:
                 edges.extend(learn_bipartite_bounded_degree(oracle, xc, yc, d))
             else:
-                edges.extend(learn_bipartite_edges(oracle, xc, yc, backend=backend, c=c))
+                edges.extend(learn_bipartite_edges(oracle, xc, yc, backend=backend))
     return edges
 
 
@@ -208,7 +205,6 @@ def learn_merge_tree(
     oracle: GraphOracle,
     parts: Sequence[Sequence[int]],
     backend: str = "classical_adaptive",
-    c: float = 1.0,
     d: int | None = None,
 ) -> list[tuple[int, int]]:
     """Merge independent parts pairwise until one block holds every edge.
@@ -226,7 +222,7 @@ def learn_merge_tree(
             (xv, xe), (yv, ye) = blocks[i], blocks[i + 1]
             known = xe + ye
             cross = learn_cross_edges_colored(
-                oracle, xv, yv, known, backend=backend, c=c, d=d
+                oracle, xv, yv, known, backend=backend, d=d
             )
             merged.append((xv + yv, known + cross))
         blocks = merged
@@ -273,7 +269,6 @@ def learn_graph_or(
     oracle: GraphOracle,
     m_hint: int | None = None,
     backend: str = "classical_adaptive",
-    c: float = 1.0,
     d: int | None = None,
 ) -> Graph:
     """Learn an arbitrary hidden graph from edge-existence queries alone.
@@ -295,7 +290,7 @@ def learn_graph_or(
             m_guess *= 2
             if m_guess > n * n:
                 raise
-    edges = learn_merge_tree(oracle, parts, backend=backend, c=c, d=d)
+    edges = learn_merge_tree(oracle, parts, backend=backend, d=d)
     return Graph(n, edges)
 
 
@@ -306,8 +301,6 @@ def learn_clique_or(
     oracle: GraphOracle,
     k: int,
     backend: str = "quantum_ideal",
-    c: float = 1.0,
-    rounds_cap: int = 200,
 ) -> frozenset[int]:
     """Identify the members of a hidden k-clique (k >= 2, no other edges).
 
@@ -320,7 +313,7 @@ def learn_clique_or(
     if not 2 <= k <= n:
         raise ValueError("need 2 <= k <= n")
     anchor = None
-    for _ in range(rounds_cap):
+    for _ in range(200):
         picks = oracle.rng.random(n) < 1.0 / k
         subset = [v for v in range(n) if picks[v]]
         if not subset:
@@ -330,14 +323,14 @@ def learn_clique_or(
             anchor = min(outcome)
             break
     if anchor is None:
-        raise RetryBudgetError(f"no informative Fourier sample in {rounds_cap} rounds")
+        raise RetryBudgetError("no informative Fourier sample in 200 rounds")
 
     rest = [v for v in range(n) if v != anchor]
 
     def test(subset, _bit=1 << anchor):
         return oracle.or_query(subset | _bit) == 1
 
-    others = cgt_solve(rest, test, k=k - 1, backend=backend, c=c, ledger=oracle.ledger)
+    others = cgt_solve(rest, test, k=k - 1, backend=backend, ledger=oracle.ledger)
     if len(others) != k - 1:
         raise ViolationError("clique promise broken: wrong member count")
     members = sorted(others)
@@ -362,20 +355,18 @@ class StarResult:
 def learn_star_or(
     oracle: GraphOracle,
     backend: str = "quantum_ideal",
-    c: float = 1.0,
-    samples_per_round: int = 4,
     rounds_cap: int = 20,
 ) -> StarResult:
     """Learn a hidden star (all edges share one endpoint, at least one edge).
 
     The center carries almost all Fourier mass of the edge-existence
-    function, so a handful of samples plus a one-query verification pins it;
+    function, so four samples a round plus a one-query verification pin it;
     the leaves then come out by group testing against the center.
     """
     n = oracle.n
     for _ in range(rounds_cap):
         tallies: dict[int, int] = {}
-        for _ in range(samples_per_round):
+        for _ in range(4):
             outcome = oracle.fourier_sample_or()
             if len(outcome) == 1:
                 (v,) = outcome
@@ -392,7 +383,7 @@ def learn_star_or(
     def test(subset, _bit=1 << candidate):
         return oracle.or_query(subset | _bit) == 1
 
-    leaves = cgt_solve(others, test, backend=backend, c=c, ledger=oracle.ledger)
+    leaves = cgt_solve(others, test, backend=backend, ledger=oracle.ledger)
     if not leaves:
         raise ViolationError("verified center has no leaves; not a star?")
     return StarResult(candidate, frozenset(leaves), center_determined=len(leaves) >= 2)

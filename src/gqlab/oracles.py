@@ -17,7 +17,7 @@ import numpy as np
 
 from gqlab import f2
 from gqlab.errors import ScaleError
-from gqlab.fourier import _fwht, _subset_sizes, fourier_table, influence_profile
+from gqlab.fourier import _fwht, _subset_sizes, fourier_table
 from gqlab.graphs import Graph
 
 __all__ = ["QUERY_KINDS", "MAX_WHT_VARS", "QueryLedger", "GraphOracle", "JuntaOracle"]
@@ -338,17 +338,13 @@ class JuntaOracle:
             raise ValueError("no evaluator for this oracle")
         return int(self._weight_eval(local.bit_count()))
 
-    def fourier_sample(self) -> frozenset[int]:
-        """Draw a subset with probability = squared coefficient of (-1)^f."""
-        mask = int(self.fourier_samples(1)[0])
-        return frozenset(self._support[j] for j in range(self.k) if (mask >> j) & 1)
-
     def fourier_samples(self, count: int) -> np.ndarray:
         """``count`` Fourier samples at one junta query each, as an array of masks.
 
-        Bit j of a mask stands for the j-th hidden variable.  One
+        A mask is drawn with probability the squared coefficient of (-1)^f
+        on it; bit j stands for the j-th hidden variable.  One
         ``rng.random(count)`` call draws the same doubles, and leaves the
-        generator in the same state, as ``count`` single draws.
+        generator in the same state, as ``count`` calls of ``rng.random()``.
         """
         if self._dist_cum is None:
             raise ValueError("plain Fourier sampling needs the full table")
@@ -389,12 +385,6 @@ class JuntaOracle:
         size = levels[cdf.searchsorted(self.rng.random(), "right")]
         picks = self.rng.choice(self.k, size=size, replace=False)
         return frozenset(self._support_array[picks].tolist())
-
-    def influence_profile(self):
-        """Influences of the public inner function; free of charge."""
-        if self._table is None:
-            raise ValueError("influence profile needs the full table")
-        return influence_profile(self._table, self.k)
 
     def peek_support(self) -> tuple[int, ...]:
         self.ledger.charge("reveal_used")

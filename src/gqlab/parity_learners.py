@@ -424,14 +424,13 @@ def learn_subgraph_of(
     gprime: Graph,
     d: int,
     slack: int = 7,
-    retry_rounds: int = 10,
 ) -> Graph:
     """Learn a hidden subgraph of a known graph of max degree d.
 
     Row v has unknowns only over v's neighbors in the supergraph, so
     d + ceil(log2 n) + slack samples make every per-vertex system uniquely
     solvable with large margin.  The rare underdetermined system pulls a
-    top-up round of fresh samples rather than failing outright.
+    top-up round of fresh samples, up to ten, rather than failing outright.
     """
     n = h.n
     if gprime.n != n:
@@ -446,7 +445,7 @@ def learn_subgraph_of(
     batch = collect_samples(h, k)
     rows: dict[int, frozenset[int]] = {}
     pending = list(range(n))
-    for round_idx in range(retry_rounds + 1):
+    for round_idx in range(11):
         if round_idx:
             batch = collect_samples(h, 8, extend=batch)
         still = []
@@ -469,7 +468,7 @@ def learn_subgraph_of(
         pending = still
     else:
         raise AmbiguityError(
-            f"{len(pending)} rows stayed underdetermined after {retry_rounds} top-ups"
+            f"{len(pending)} rows stayed underdetermined after 10 top-ups"
         )
     return _assemble(n, rows)
 
@@ -544,10 +543,7 @@ def learn_star_graphstate(
     raise RetryBudgetError(f"center or leaf pattern still unseen after {cap} samples")
 
 
-def learn_clique_graphstate(
-    h: GraphOracle,
-    target_nonzero: int | None = None,
-) -> frozenset[int]:
+def learn_clique_graphstate(h: GraphOracle) -> frozenset[int]:
     """Learn a clique's vertex set from Bell samples.
 
     Every nonzero y is supported inside the clique and covers each member
@@ -555,8 +551,7 @@ def learn_clique_graphstate(
     supports captures all members.
     """
     n = h.n
-    if target_nonzero is None:
-        target_nonzero = 7 + math.ceil(math.log2(max(n, 2)))
+    target_nonzero = 7 + math.ceil(math.log2(max(n, 2)))
     cap = max(20, 4 * target_nonzero)
     members: set[int] = set()
     seen_nonzero = 0

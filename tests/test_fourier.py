@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab.errors import RetryBudgetError, ScaleError, ViolationError
+from gqlab.errors import RetryBudgetError, ScaleError
 from gqlab.fourier import (
     FourierTable,
     bv_with_size_oracle,
@@ -17,8 +17,6 @@ from gqlab.fourier import (
     exact_half_level_weights_pm1,
     exact_half_truth,
     fourier_table,
-    influence_profile,
-    learn_high_influence_junta,
     learn_symmetric_junta,
     maj_coefficient,
     maj_level_weights,
@@ -171,32 +169,6 @@ def test_exact_half_pm1_weights_frozen_k6():
     assert pm1[2] == pytest.approx(0.234375)
 
 
-# -- influence ----------------------------------------------------------------
-
-def flip_probability(table, k, j):
-    x = np.arange(1 << k)
-    t = np.asarray(table)
-    return float(np.mean(t[x] != t[x ^ (1 << j)]))
-
-
-@given(st.integers(min_value=1, max_value=6), st.integers())
-@settings(max_examples=30, deadline=None)
-def test_influence_equals_flip_probability(k, seed):
-    rng = np.random.default_rng(seed % (2**32))
-    table = rng.integers(0, 2, size=1 << k)
-    prof = influence_profile(table, k)
-    for j in range(k):
-        assert prof.influences[j] == pytest.approx(
-            flip_probability(table, k, j), abs=1e-12
-        )
-
-
-def test_maj3_influences():
-    prof = influence_profile(maj_truth(3), 3)
-    assert prof.influences == pytest.approx((0.5, 0.5, 0.5))
-    assert prof.min_influence == pytest.approx(0.5)
-
-
 # -- learner control flow against a scripted handle ---------------------------
 
 class ScriptedHandle:
@@ -236,41 +208,6 @@ def test_symmetric_learner_rejects_bad_level():
         learn_symmetric_junta(ScriptedHandle(4, []), l=0)
     with pytest.raises(ValueError):
         learn_symmetric_junta(ScriptedHandle(4, []), l=5)
-
-
-class PlainHandle:
-    def __init__(self, k, infl, outcomes):
-        self.k = k
-        self._prof = InfluenceStub(k, infl)
-        self.outcomes = list(outcomes)
-
-    def influence_profile(self):
-        return self._prof
-
-    def fourier_sample(self):
-        return self.outcomes.pop(0) if self.outcomes else frozenset()
-
-
-class InfluenceStub:
-    def __init__(self, k, infl):
-        self.k = k
-        self.influences = infl
-
-    @property
-    def min_influence(self):
-        return min(self.influences)
-
-
-def test_high_influence_precondition_enforced():
-    handle = PlainHandle(3, (0.5, 0.01, 0.5), [])
-    with pytest.raises(ViolationError):
-        learn_high_influence_junta(handle, eps=0.2)
-
-
-def test_high_influence_unions_q_samples():
-    handle = PlainHandle(3, (0.5, 0.5, 0.5), [frozenset({4}), frozenset({7, 4})])
-    out = learn_high_influence_junta(handle, eps=0.5, delta=0.5)
-    assert out == {4, 7}
 
 
 # -- exact-phase recovery ------------------------------------------------------

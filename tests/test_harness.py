@@ -113,7 +113,7 @@ def test_emit_refuses_empty_without_flag(tmp_path):
 
 
 # grid-point keys the learners and families read as integers
-INT_POINT_KEYS = ("n", "m", "d", "k", "r", "l", "m_hint", "design_d")
+INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint", "design_d")
 
 # fields of the right name but the wrong type, arity or range
 MALFORMED = (
@@ -124,9 +124,8 @@ MALFORMED = (
     {"seed": "x"},
     {"min_success": "high"},
     {"min_success": 1.5},
-    {"c": 0},
-    {"c": "1"},
     {"backend": "quantm_ideal"},
+    {"grid": 5},
     # points the family cannot build, or that lack a key the learner reads
     {"learner": "or_full", "family": "hamiltonian_cycle", "grid": [{"n": 16}]},
     {"learner": "or_full", "family": "matching", "grid": [{"n": 8}]},
@@ -138,6 +137,9 @@ MALFORMED = (
     {"learner": "bell_family", "family": "all_small_graphs", "grid": [{"n": 4}]},
     {"learner": "cgt", "family": "defect_set", "grid": [{"n": 16}]},
     {"learner": "junta_symmetric", "family": "majority_junta", "grid": [{"n": 16}]},
+    # more edges than vertex pairs, though within the degree bound
+    {"learner": "graphstate_bounded_degree", "family": "bounded_degree",
+     "grid": [{"n": 2, "d": 2, "m": 2}]},
     *(
         {"grid": [{"n": 12, "m": 8} | {key: bad}]}
         for key in INT_POINT_KEYS
@@ -303,6 +305,19 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_usage_error_is_2(capsys):
     assert cli.main(["run"]) == 2
     assert cli.main([]) == 2
+    capsys.readouterr()
+
+
+def test_cli_validates_once(tmp_path, monkeypatch, capsys):
+    calls = []
+    validate = ExperimentConfig.validate
+    monkeypatch.setattr(
+        ExperimentConfig, "validate", lambda cfg: calls.append(cfg) or validate(cfg)
+    )
+    path = tmp_path / "cfg.json"
+    path.write_text(small_config().to_json())
+    assert cli.main(["run", "--config", str(path), "--trials", "2"]) == 0
+    assert len(calls) == 1
     capsys.readouterr()
 
 
