@@ -5,12 +5,14 @@ The adaptive solver only needs a membership test on subsets of a universe of
 int item ids, each subset passed as an int mask with one bit per item.  It
 builds the universe's prefix ORs once and masks out found items, so a solve
 over N items with k positives costs O(N + k log N) mask operations.
-Quantum backends compute the same answer by running the classical search
+Quantum backends do not search: they read the positives from the caller's
+block form, which answers every single-item test of the universe at once,
 with ledger charging paused, then bill the amplified-search cost model to
 the quantum counter: ceil(sqrt(k)) rounds for k promised positives (times
 log2(k+1) log2(log2(k+3)) on the time-efficient backend), or the sum of
 that charge over guess-and-double stages when k is not promised.  The
-suppressed charges stay visible for audits.
+block's charges, one test per universe item, stay visible in the ledger's
+``suppressed`` tally for audits.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from gqlab import f2
 from gqlab.errors import ConstructionError, DecodeError, ViolationError
 from gqlab.oracles import QueryLedger
 
@@ -97,6 +100,7 @@ def cgt_solve(
     k: int | None = None,
     backend: str = "classical_adaptive",
     ledger: QueryLedger | None = None,
+    block: Callable[[int], int] | None = None,
 ) -> frozenset:
     """Identify every positive item, spending queries per the chosen backend.
 
@@ -104,8 +108,13 @@ def cgt_solve(
     int mask whose set bits are item ids and reports whether that subset
     contains a positive; callers route it through their charged oracle.
     ``k``, when given, is a promise on the positive count: the solver still
-    verifies and raises if the promise undercounts.  Quantum backends
-    require the ledger that ``test`` charges into.
+    verifies and raises if the promise is broken.  Quantum backends require
+    ``block`` and the ledger it charges into: ``block(items)`` returns the
+    mask of the items x whose single-item test ``test(1 << x)`` is positive,
+    charging one test per item.  They take the answer from one ``block``
+    call over the whole universe, which the paused ledger tallies in
+    ``suppressed``, and bill only the quantum cost model; ``test`` is never
+    called.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -113,11 +122,15 @@ def cgt_solve(
         raise ValueError("k must be nonnegative")
     if backend == "classical_adaptive":
         return _adaptive_search(universe, test, k)
-    if ledger is None:
-        raise ValueError("quantum backends need the ledger used by the test")
+    if ledger is None or block is None:
+        raise ValueError("quantum backends need the block form and its ledger")
+    items = sum(1 << operator.index(x) for x in universe)
+    if items.bit_count() != len(universe):
+        raise ValueError("universe items must be distinct")
     time_efficient = backend == "quantum_time_efficient"
     with ledger.paused():
-        found = _adaptive_search(universe, test, k)
+        positives = block(items)
+    found = frozenset(f2.support(positives))
     if k is not None:
         if len(found) != k:
             raise ViolationError(f"promised {k} positives, found {len(found)}")

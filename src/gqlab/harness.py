@@ -68,6 +68,10 @@ CSV_COLUMNS = (
 # grid-point keys whose values learners and families use as integers
 _INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint", "design_d")
 
+# every grid-point key some learner or family reads; any other key is refused
+# rather than silently ignored
+_POINT_KEYS = _INT_POINT_KEYS + ("known_k",)
+
 _CSV_COUNTERS = {
     "or_queries": "or_query",
     "parity_queries": "parity_query",
@@ -142,6 +146,9 @@ class ExperimentConfig:
         for point in self.grid:
             if "n" not in point:
                 raise ValueError("every grid point needs n")
+            unknown = [key for key in point if key not in _POINT_KEYS]
+            if unknown:
+                raise ValueError(f"unknown grid keys {unknown} in point {point}")
             for key in _INT_POINT_KEYS:
                 if key in point and not _is_number(point[key], numbers.Integral):
                     raise ValueError(
@@ -245,10 +252,11 @@ def _small_graphs(r: int, n: int) -> tuple[Graph, ...]:
 def _instance(family: str, point: dict, rng, ledger: QueryLedger):
     """Draw one hidden object; returns ``(oracle, hidden, side)``.
 
-    ``side`` is what the learner is told besides the oracle: the candidate
-    tuple for ``all_small_graphs``, the known supergraph for
-    ``matching_union``, the ledger billed by group testing for
-    ``defect_set``, and None otherwise.
+    For ``defect_set`` the oracle is the pair (membership test, block form)
+    that ``cgt_solve`` takes as ``test`` and ``block``.  ``side`` is what
+    the learner is told besides the oracle: the candidate tuple for
+    ``all_small_graphs``, the known supergraph for ``matching_union``, the
+    ledger billed by group testing for ``defect_set``, and None otherwise.
     """
     n = point["n"]
     if family == "defect_set":
@@ -259,7 +267,11 @@ def _instance(family: str, point: dict, rng, ledger: QueryLedger):
             ledger.charge("or_query")
             return items & hidden_mask != 0
 
-        return test, hidden, ledger
+        def block(items):
+            ledger.charge("or_query", items.bit_count())
+            return items & hidden_mask
+
+        return (test, block), hidden, ledger
     if family == "majority_junta":
         k = point["k"]
         support = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
@@ -375,9 +387,9 @@ LEARNERS = {
         columns=("d",), needs=("d",)),
     "cgt": Learner(
         ("defect_set",), "charged_quantum",
-        lambda test, defects, p, cfg, ledger: cgt_mod.cgt_solve(
-            list(range(p["n"])), test, k=p["k"] if p.get("known_k") else None,
-            backend=cfg.backend, ledger=ledger),
+        lambda tests, defects, p, cfg, ledger: cgt_mod.cgt_solve(
+            list(range(p["n"])), tests[0], k=p["k"] if p.get("known_k") else None,
+            backend=cfg.backend, ledger=ledger, block=tests[1]),
         columns=("k",), needs=("k",)),
     "junta_symmetric": Learner(
         ("majority_junta",), "charged_quantum",

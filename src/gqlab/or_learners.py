@@ -35,6 +35,30 @@ __all__ = [
 ]
 
 
+def _search_with(
+    oracle: GraphOracle,
+    universe: Sequence[int],
+    base: int,
+    k: int | None = None,
+    backend: str = "classical_adaptive",
+) -> frozenset[int]:
+    """Group-test ``universe`` with the OR query on subset | base.
+
+    The classical backend searches with one query per test; quantum backends
+    read every item's answer from one ``or_block_query``.
+    """
+
+    def test(subset):
+        return oracle.or_query(subset | base) == 1
+
+    def block(items):
+        return oracle.or_block_query(base, items)
+
+    return cgt_solve(
+        universe, test, k=k, backend=backend, ledger=oracle.ledger, block=block
+    )
+
+
 def find_nonisolated(
     oracle: GraphOracle,
     side: Sequence[int],
@@ -52,11 +76,7 @@ def find_nonisolated(
     other_mask = f2.from_support(other, oracle.n)
     if not side or not other_mask:
         return frozenset()
-
-    def test(subset):
-        return oracle.or_query(subset | other_mask) == 1
-
-    found = cgt_solve(side, test, backend=backend, ledger=oracle.ledger)
+    found = _search_with(oracle, side, other_mask, backend=backend)
     if len(found) == len(side):
         if oracle.or_query(other_mask) or oracle.or_query(side):
             raise ViolationError("a queried side is not an independent set")
@@ -84,10 +104,7 @@ def learn_bipartite_edges(
     actives = find_nonisolated(oracle, a_side, b_side, backend=backend)
     edges = []
     for a in sorted(actives):
-        def test(subset, _bit=1 << a):
-            return oracle.or_query(subset | _bit) == 1
-
-        hits = cgt_solve(b_side, test, backend=backend, ledger=oracle.ledger)
+        hits = _search_with(oracle, b_side, 1 << a, backend=backend)
         if not hits:
             raise ViolationError("active vertex lost its neighbors; sides not independent?")
         edges.extend((_norm(a, b)) for b in sorted(hits))
@@ -326,11 +343,7 @@ def learn_clique_or(
         raise RetryBudgetError("no informative Fourier sample in 200 rounds")
 
     rest = [v for v in range(n) if v != anchor]
-
-    def test(subset, _bit=1 << anchor):
-        return oracle.or_query(subset | _bit) == 1
-
-    others = cgt_solve(rest, test, k=k - 1, backend=backend, ledger=oracle.ledger)
+    others = _search_with(oracle, rest, 1 << anchor, k=k - 1, backend=backend)
     if len(others) != k - 1:
         raise ViolationError("clique promise broken: wrong member count")
     members = sorted(others)
@@ -380,10 +393,7 @@ def learn_star_or(
     else:
         raise RetryBudgetError(f"no verified center in {rounds_cap} rounds")
 
-    def test(subset, _bit=1 << candidate):
-        return oracle.or_query(subset | _bit) == 1
-
-    leaves = cgt_solve(others, test, backend=backend, ledger=oracle.ledger)
+    leaves = _search_with(oracle, others, 1 << candidate, backend=backend)
     if not leaves:
         raise ViolationError("verified center has no leaves; not a star?")
     return StarResult(candidate, frozenset(leaves), center_determined=len(leaves) >= 2)

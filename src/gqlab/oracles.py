@@ -41,7 +41,9 @@ class QueryLedger:
 
     ``paused()`` suspends charging inside quantum cost models whose classical
     simulation must not bill the simulated steps; suppressed charges are
-    still tallied separately so tests can audit them.  Reveals are never
+    still tallied separately so tests can audit them.  A quantum
+    group-testing solve reads its answer from one block query, so it
+    suppresses one ``or_query`` per universe item.  Reveals are never
     suppressed.
     """
 
@@ -102,6 +104,26 @@ class GraphOracle:
             raise ValueError("mask has bits outside the vertex range")
         self.ledger.charge("or_query")
         return self._induces_edge(subset)
+
+    def or_block_query(self, base: int, items: int) -> int:
+        """The mask of the items x for which base | 1 << x induces an edge,
+        at the cost of one OR query per item; mask bits outside 0..n-1 raise
+        before charging.
+
+        Every item answers 1 when base itself induces an edge; otherwise x
+        answers 1 exactly when it lies outside base with a neighbor inside.
+        """
+        if base < 0 or base >> self.n or items < 0 or items >> self.n:
+            raise ValueError("mask has bits outside the vertex range")
+        self.ledger.charge("or_query", items.bit_count())
+        adj = self._graph.adj_bits
+        reach = 0
+        m = base & self._touched
+        while m:
+            v = (m & -m).bit_length() - 1
+            reach |= adj[v]
+            m &= m - 1
+        return items if reach & base else items & reach
 
     def parity_query(self, subset) -> int:
         """Parity of the number of induced edges."""

@@ -353,9 +353,9 @@ def learn_bounded_degree(
     signature skips the join when d is odd and the weight-<=ceil(d/2)
     combinations XOR to distinct words: then no weight-<=d+1 combination
     XORs to zero, so that column is the row's only explanation.  It refuses
-    with ScaleError when the second table would exceed ``_MAX_TABLE``
-    entries, C(n', <=ceil(d/2)), or the join ``_MAX_KEYS`` keys,
-    n' C(n', <=floor(d/2)).
+    with ScaleError, before phase 2 draws, when the second table would
+    exceed ``_MAX_TABLE`` entries, C(n', <=ceil(d/2)), or the join
+    ``_MAX_KEYS`` keys, n' C(n', <=floor(d/2)).
 
     With d above n/4 the sparse search loses its edge; the whole matrix is
     read from Bell samples instead, as a subgraph of the complete graph, and
@@ -387,10 +387,8 @@ def learn_bounded_degree(
         return BoundedDegreeResult(n, d, neighbors, frozenset(), batch.k)
 
     nprime = len(nonzero)
-    if phase2_k is None:
-        phase2_k = max(1, math.ceil(d * math.log2(max(2.0, nprime / d)))) + slack
-    batch = collect_samples(h, phase2_k, extend=batch, parity=_parity)
-
+    # n' fixes the decoder's size, so a decode that cannot run is refused
+    # before phase 2 spends its samples
     entries = _count_supports(nprime, (d + 1) // 2)
     if entries > _MAX_TABLE:
         raise ScaleError(
@@ -403,6 +401,10 @@ def learn_bounded_degree(
             f"{keys} join keys for {nprime} rows at degree {d} "
             f"exceed the decoder's key bound {_MAX_KEYS}"
         )
+    if phase2_k is None:
+        phase2_k = max(1, math.ceil(d * math.log2(max(2.0, nprime / d)))) + slack
+    batch = collect_samples(h, phase2_k, extend=batch, parity=_parity)
+
     sigs = [batch.B[u] for u in nonzero]
     targets = [batch.Y[v] for v in nonzero]
     over = set()

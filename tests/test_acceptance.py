@@ -192,10 +192,16 @@ def test_criterion_03_exact_learners_are_exact():
                 int(v) for v in rng.choice(128, size=k_true, replace=False)
             )
             led = QueryLedger()
+            mask = sum(1 << v for v in defects)
 
-            def test_fn(items, _mask=sum(1 << v for v in defects), _led=led):
+            def test_fn(items, _mask=mask, _led=led):
                 _led.charge("or_query")
                 return items & _mask != 0
+
+            # the block form quantum backends read: every single-item test
+            def block_fn(items, _mask=mask, _led=led):
+                _led.charge("or_query", items.bit_count())
+                return items & _mask
 
             got = cgt_solve(
                 list(range(128)),
@@ -203,6 +209,7 @@ def test_criterion_03_exact_learners_are_exact():
                 k=k_true if trial % 2 == 0 else None,
                 backend=backend,
                 ledger=led,
+                block=block_fn,
             )
             assert got == defects
 

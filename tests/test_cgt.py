@@ -15,7 +15,8 @@ from gqlab.cgt import (
     decode,
 )
 from gqlab.errors import ConstructionError, DecodeError, ViolationError
-from gqlab.oracles import QueryLedger
+from gqlab.graphs import Graph
+from gqlab.oracles import GraphOracle, QueryLedger
 
 
 def make_test(hidden, ledger=None):
@@ -32,6 +33,18 @@ def make_test(hidden, ledger=None):
         return bool(hidden & set(subset))
 
     return test, log
+
+
+def make_block(hidden, ledger):
+    """The block form of ``make_test``'s membership test: the positive items
+    of a mask, at one charged test per item."""
+    hidden_mask = sum(1 << x for x in hidden)
+
+    def block(mask):
+        ledger.charge("or_query", mask.bit_count())
+        return mask & hidden_mask
+
+    return block
 
 
 # -- adaptive solver -----------------------------------------------------------
@@ -204,6 +217,15 @@ def test_argument_validation():
         cgt_solve([1], test, k=-1)
     with pytest.raises(ValueError):
         cgt_solve([1], test, backend="quantum_ideal")  # ledger missing
+    ledger = QueryLedger()
+    with pytest.raises(ValueError):
+        cgt_solve([1], test, backend="quantum_ideal", ledger=ledger)  # block missing
+    with pytest.raises(ValueError):
+        cgt_solve(
+            [1, 1], test, backend="quantum_ideal", ledger=ledger,
+            block=make_block(set(), ledger),
+        )
+    assert ledger.suppressed["or_query"] == 0
 
 
 # -- quantum cost models ----------------------------------------------------------
@@ -212,13 +234,17 @@ def test_quantum_ideal_known_k_charge_and_audit():
     ledger = QueryLedger()
     hidden = {2, 9, 11, 30, 31, 44, 45, 53, 60, 61, 62, 63, 70, 81, 90, 99}
     test, log = make_test(hidden, ledger)
+    universe = list(range(100))
     out = cgt_solve(
-        list(range(100)), test, k=16, backend="quantum_ideal", ledger=ledger
+        universe, test, k=16, backend="quantum_ideal", ledger=ledger,
+        block=make_block(hidden, ledger),
     )
     assert out == hidden
     assert ledger.counts["charged_quantum"] == 4  # ceil(sqrt(16))
     assert ledger.counts["or_query"] == 0
-    assert ledger.suppressed["or_query"] == len(log)
+    # the answer comes from one block query, one suppressed test per item
+    assert ledger.suppressed["or_query"] == len(universe)
+    assert log == []
 
 
 def test_quantum_time_efficient_charges():
@@ -232,6 +258,7 @@ def test_quantum_time_efficient_charges():
             k=k,
             backend="quantum_time_efficient",
             ledger=ledger,
+            block=make_block(hidden, ledger),
         )
         assert ledger.counts["charged_quantum"] == expect
 
@@ -240,16 +267,64 @@ def test_quantum_unknown_k_doubling_charges():
     for hidden, expect in ((set(), 1), ({5}, 1), ({1, 2, 3, 4}, 5), (set(range(16)), 12)):
         ledger = QueryLedger()
         test, _ = make_test(hidden, ledger)
-        out = cgt_solve(list(range(40)), test, backend="quantum_ideal", ledger=ledger)
+        out = cgt_solve(
+            list(range(40)), test, backend="quantum_ideal", ledger=ledger,
+            block=make_block(hidden, ledger),
+        )
         assert out == hidden
         assert ledger.counts["charged_quantum"] == expect
+
+
+def test_quantum_backends_find_the_classical_set_on_or_tests():
+    # OR tests on subset | base over a universe whose items outside the base
+    # share no edge, as the OR learners search: every test is the OR of its
+    # single-item tests, or always positive when the base has an edge
+    rng = np.random.default_rng(1507)
+    for trial in range(150):
+        n = int(rng.integers(2, 48))
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        picks = rng.choice(len(pairs), size=int(rng.integers(0, 2 * n)))
+        oracle = GraphOracle(Graph(n, [pairs[int(i)] for i in picks]), rng)
+        base = int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
+        universe, outside = [], 0
+        for v in rng.permutation(n).tolist():
+            if base >> v & 1:
+                if rng.random() < 0.5:
+                    universe.append(v)
+            elif not oracle.or_query(outside | 1 << v):
+                universe.append(v)
+                outside |= 1 << v
+
+        def test(subset):
+            return oracle.or_query(subset | base) == 1
+
+        def block(items):
+            return oracle.or_block_query(base, items)
+
+        expect = cgt_solve(universe, test)
+        k = len(expect) if trial % 2 else None
+        for backend in ("quantum_ideal", "quantum_time_efficient"):
+            before = oracle.ledger.snapshot()
+            suppressed = oracle.ledger.suppressed["or_query"]
+            out = cgt_solve(
+                universe, test, k=k, backend=backend, ledger=oracle.ledger, block=block
+            )
+            assert out == expect
+            assert oracle.ledger.delta(before)["or_query"] == 0
+            assert oracle.ledger.suppressed["or_query"] - suppressed == len(universe)
 
 
 def test_quantum_promise_mismatch_raises():
     ledger = QueryLedger()
     test, _ = make_test({1, 2}, ledger)
-    with pytest.raises(ViolationError):
-        cgt_solve(list(range(8)), test, k=3, backend="quantum_ideal", ledger=ledger)
+    block = make_block({1, 2}, ledger)
+    for k in (1, 3):  # overcounted and undercounted promises
+        with pytest.raises(ViolationError):
+            cgt_solve(
+                list(range(8)), test, k=k, backend="quantum_ideal", ledger=ledger,
+                block=block,
+            )
+    assert ledger.counts["charged_quantum"] == 0
 
 
 # -- nonadaptive designs ------------------------------------------------------------

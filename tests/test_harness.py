@@ -137,6 +137,10 @@ MALFORMED = (
     {"learner": "bell_family", "family": "all_small_graphs", "grid": [{"n": 4}]},
     {"learner": "cgt", "family": "defect_set", "grid": [{"n": 16}]},
     {"learner": "junta_symmetric", "family": "majority_junta", "grid": [{"n": 16}]},
+    # keys that nothing reads: a removed knob and a misspelt m_hint
+    {"learner": "junta_symmetric", "family": "majority_junta",
+     "grid": [{"n": 16, "k": 5, "delta": 0}]},
+    {"learner": "or_full", "family": "matching", "grid": [{"n": 8, "m": 4, "mhint": 4}]},
     # more edges than vertex pairs, though within the degree bound
     {"learner": "graphstate_bounded_degree", "family": "bounded_degree",
      "grid": [{"n": 2, "d": 2, "m": 2}]},

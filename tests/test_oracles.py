@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import statevector as quantum
@@ -100,6 +102,36 @@ def test_or_query_on_masks_matches_brute_force():
             with pytest.raises(ValueError):
                 oracle.parity_query(bad)
         assert oracle.ledger.snapshot() == before
+
+
+@st.composite
+def graph_and_masks(draw):
+    n = draw(st.integers(min_value=1, max_value=70))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+    masks = st.integers(min_value=0, max_value=(1 << n) - 1)
+    return n, edges, draw(masks), draw(masks)
+
+
+@given(graph_and_masks())
+@example((4, [(0, 1)], 0b0011, 0b1100))  # base with an internal edge
+@example((5, [(0, 1), (1, 2), (3, 4)], 0b00110, 0b11111))  # items overlap base
+@example((4, [(0, 1)], 0b0001, 0))  # no items
+@settings(max_examples=200, deadline=None)
+def test_or_block_query_matches_single_item_queries(case):
+    n, edges, base, items = case
+    oracle = GraphOracle(Graph(n, edges), np.random.default_rng(0))
+    expect = sum(oracle.or_query(base | 1 << x) << x for x in f2.support(items))
+    before = oracle.ledger.snapshot()
+    assert oracle.or_block_query(base, items) == expect
+    assert oracle.ledger.delta(before)["or_query"] == items.bit_count()
+    before = oracle.ledger.snapshot()
+    for bad in (-1, 1 << n):
+        with pytest.raises(ValueError):
+            oracle.or_block_query(bad, items)
+        with pytest.raises(ValueError):
+            oracle.or_block_query(base, bad)
+    assert oracle.ledger.snapshot() == before
 
 
 def test_queries_accept_bitvectors_and_reject_bad_vertices():

@@ -399,6 +399,8 @@ def test_bounded_degree_enumeration_guard():
     h = make_oracle(Graph(1024, matching), seed=0)
     with pytest.raises(ScaleError, match="key bound"):
         learn_bounded_degree(h, d=4, m_hint=512)
+    # refused before phase 2: only phase 1's log2(512) + 7 samples are spent
+    assert h.ledger.counts["graph_state_copy"] == 2 * (9 + 7)
 
 
 def test_bounded_degree_table_bound():
@@ -408,6 +410,18 @@ def test_bounded_degree_table_bound():
     h = make_oracle(Graph(3000, matching), seed=0)
     with pytest.raises(ScaleError, match="table bound"):
         learn_bounded_degree(h, d=3, m_hint=1500)
+    assert h.ledger.counts["graph_state_copy"] == 2 * (11 + 7)
+
+
+def test_bounded_edges_refuses_before_phase_two():
+    # m = 512 at n = 128 picks d = 8, and C(n', <=4) entries exceed the table
+    # bound; phase 1's log2(512) + 15 samples at two parity queries each are
+    # all that is spent
+    g = generate(FamilySpec("fixed_edge_count", 128, m=512), np.random.default_rng(0))
+    h = make_oracle(g)
+    with pytest.raises(ScaleError, match="table bound"):
+        learn_bounded_edges_parity(h, m=512)
+    assert h.ledger.counts["parity_query"] == 2 * (9 + 15) == 48
 
 
 def test_bounded_degree_decodes_past_the_old_candidate_cap():
