@@ -5,7 +5,8 @@
 #   scripts/run_all.sh --check   write them to a temporary directory instead,
 #                                compare each byte for byte with the one in
 #                                results/ (left untouched), and exit 1 naming
-#                                the first CSV that differs
+#                                the first CSV that differs or has no
+#                                reference there
 set -u
 cd "$(dirname "$0")/.."
 
@@ -36,6 +37,11 @@ for cfg in scripts/*.json; do
         --config "$cfg" "$@"; then
         echo "** threshold or usage failure in $cfg" >&2
         status=1
+    fi
+    if [ "$check" = 1 ] && [ ! -f "results/$name.csv" ]; then
+        echo "** no reference results/$name.csv; write one by running" \
+            "scripts/run_all.sh (no flag) on the commit to compare against" >&2
+        exit 1
     fi
     if [ "$check" = 1 ] && ! cmp -s "$outdir/$name.csv" "results/$name.csv"; then
         echo "** $name.csv differs from results/$name.csv" >&2

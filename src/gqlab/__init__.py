@@ -3,8 +3,6 @@
 from gqlab.cgt import BACKENDS, cgt_solve
 from gqlab.errors import (
     AmbiguityError,
-    ConstructionError,
-    DecodeError,
     GqlabError,
     RetryBudgetError,
     ScaleError,
@@ -60,8 +58,6 @@ __all__ = [
     "AmbiguityError",
     "BACKENDS",
     "CSV_COLUMNS",
-    "ConstructionError",
-    "DecodeError",
     "ExperimentConfig",
     "FAMILY_KINDS",
     "FamilySpec",

@@ -1,5 +1,4 @@
-"""Group testing: adaptive search with classical and quantum cost models,
-and nonadaptive designs with certified decoding.
+"""Group testing: adaptive search with classical and quantum cost models.
 
 The adaptive solver only needs a membership test on subsets of a universe of
 int item ids, each subset passed as an int mask with one bit per item.  It
@@ -19,24 +18,14 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Sequence
 
-import numpy as np
-
 from gqlab import f2
-from gqlab.errors import ConstructionError, DecodeError, ViolationError
+from gqlab.errors import ViolationError
 from gqlab.oracles import QueryLedger
 
-__all__ = [
-    "BACKENDS",
-    "cgt_solve",
-    "NonadaptiveDesign",
-    "build_nonadaptive_design",
-    "binary_indexing_design",
-    "decode",
-]
+__all__ = ["BACKENDS", "cgt_solve"]
 
 BACKENDS = ("classical_adaptive", "quantum_ideal", "quantum_time_efficient")
 
@@ -141,122 +130,3 @@ def cgt_solve(
         )
     return found
 
-
-# -- nonadaptive designs -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class NonadaptiveDesign:
-    """A fixed pool of subset tests decodable for up to d positives."""
-
-    kind: str
-    n: int
-    d: int
-    tests: tuple[frozenset[int], ...]
-
-    def apply(self, positives) -> tuple[int, ...]:
-        pos = set(positives)
-        return tuple(1 if t & pos else 0 for t in self.tests)
-
-
-def _is_disjunct(columns: list[frozenset[int]], d: int, rng) -> bool:
-    """Check d-disjunctness: no column is covered by any d others; exactly
-    up to 20 columns, by 10,000 random (d+1)-tuples above."""
-    n = len(columns)
-    if n <= 20:
-        for x in range(n):
-            others = [i for i in range(n) if i != x]
-            for group in combinations(others, min(d, len(others))):
-                union = frozenset().union(*(columns[i] for i in group))
-                if columns[x] <= union:
-                    return False
-        return True
-    for _ in range(10_000):
-        picks = rng.choice(n, size=d + 1, replace=False)
-        x = int(picks[0])
-        union = frozenset().union(*(columns[int(i)] for i in picks[1:]))
-        if columns[x] <= union:
-            return False
-    return True
-
-
-def build_nonadaptive_design(
-    n: int,
-    d: int,
-    rng: np.random.Generator,
-    c: float = 8.0,
-    max_attempts: int = 40,
-) -> NonadaptiveDesign:
-    """Random design with ceil(c d^2 ln(n+1)) tests, verified d-disjunct.
-
-    Items join each test independently with probability 1/(d+1).  The
-    default constant is sized so verification passes reliably; failures
-    trigger a fresh draw up to the attempt cap.
-    """
-    if n < 1 or d < 1:
-        raise ValueError("need n >= 1 and d >= 1")
-    if d >= n:
-        raise ValueError("d must be below the universe size")
-    t_count = math.ceil(c * d * d * math.log(n + 1))
-    for _ in range(max_attempts):
-        member = rng.random((t_count, n)) < 1.0 / (d + 1)
-        tests = tuple(
-            frozenset(np.flatnonzero(member[t]).tolist()) for t in range(t_count)
-        )
-        columns = [
-            frozenset(np.flatnonzero(member[:, x]).tolist()) for x in range(n)
-        ]
-        if any(not col for col in columns):
-            continue  # an untested item can never be decoded
-        if _is_disjunct(columns, d, rng):
-            return NonadaptiveDesign("random_disjunct", n, d, tests)
-    raise ConstructionError(
-        f"no verified design in {max_attempts} attempts (n={n}, d={d}, c={c})"
-    )
-
-
-def binary_indexing_design(n: int) -> NonadaptiveDesign:
-    """Compact exact decoder for at most one positive: test j holds the items
-    whose 1-based index has bit j set."""
-    if n < 1:
-        raise ValueError("need n >= 1")
-    width = max(1, (n).bit_length())
-    tests = tuple(
-        frozenset(i for i in range(n) if ((i + 1) >> j) & 1) for j in range(width)
-    )
-    return NonadaptiveDesign("binary_index", n, 1, tests)
-
-
-def decode(design: NonadaptiveDesign, outcomes: Sequence[int]) -> frozenset[int]:
-    """Recover the positive set from the test outcomes.
-
-    Raises when the outcomes are not explainable by any set of at most d
-    positives under this design.
-    """
-    if len(outcomes) != len(design.tests):
-        raise DecodeError("outcome count does not match the design")
-    outs = [1 if o else 0 for o in outcomes]
-    if design.kind == "binary_index":
-        value = sum(bit << j for j, bit in enumerate(outs))
-        if value == 0:
-            return frozenset()
-        if value > design.n:
-            raise DecodeError(f"outcome word {value} indexes no item")
-        item = value - 1
-        recheck = design.apply([item])
-        if list(recheck) != outs:
-            raise DecodeError("outcomes match no single item")
-        return frozenset((item,))
-    # cover rule: an item in any negative test is clean
-    candidates = set(range(design.n))
-    for t, out in zip(design.tests, outs):
-        if not out:
-            candidates -= t
-    if len(candidates) > design.d:
-        raise DecodeError(
-            f"{len(candidates)} candidates exceed the design capacity {design.d}"
-        )
-    for t, out in zip(design.tests, outs):
-        if out and not (t & candidates):
-            raise DecodeError("a positive test contains no candidate")
-    return frozenset(candidates)

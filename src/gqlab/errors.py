@@ -8,8 +8,6 @@ __all__ = [
     "ViolationError",
     "AmbiguityError",
     "RetryBudgetError",
-    "ConstructionError",
-    "DecodeError",
 ]
 
 
@@ -32,10 +30,3 @@ class AmbiguityError(GqlabError):
 class RetryBudgetError(GqlabError):
     """A randomized stage exhausted its retry budget."""
 
-
-class ConstructionError(GqlabError):
-    """Randomized construction failed verification after the retry cap."""
-
-
-class DecodeError(GqlabError):
-    """Test outcomes are inconsistent with every support within the promise."""

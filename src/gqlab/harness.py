@@ -66,7 +66,7 @@ CSV_COLUMNS = (
 )
 
 # grid-point keys whose values learners and families use as integers
-_INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint", "design_d")
+_INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint")
 
 # every grid-point key some learner or family reads; any other key is refused
 # rather than silently ignored
@@ -341,8 +341,7 @@ LEARNERS = {
     "or_full": Learner(
         FAMILY_KINDS, "or_query",
         lambda h, g, p, cfg, side: or_learners.learn_graph_or(
-            h, m_hint=p.get("m_hint", g.m), backend=cfg.backend,
-            d=p.get("design_d")),
+            h, m_hint=p.get("m_hint", g.m), backend=cfg.backend),
         columns=("d", "k")),
     "or_star": Learner(
         ("star",), "or_query+charged_quantum",

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from gqlab import f2
-from gqlab.cgt import binary_indexing_design, build_nonadaptive_design, cgt_solve, decode
-from gqlab.errors import DecodeError, RetryBudgetError, ViolationError
+from gqlab.cgt import cgt_solve
+from gqlab.errors import RetryBudgetError, ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
@@ -24,7 +24,6 @@ __all__ = [
     "StarResult",
     "find_nonisolated",
     "learn_bipartite_edges",
-    "learn_bipartite_bounded_degree",
     "greedy_coloring",
     "learn_cross_edges_colored",
     "learn_merge_tree",
@@ -115,47 +114,6 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def learn_bipartite_bounded_degree(
-    oracle: GraphOracle,
-    a_side: Sequence[int],
-    b_side: Sequence[int],
-    d: int,
-    design=None,
-) -> list[tuple[int, int]]:
-    """Nonadaptive variant when every ``a_side`` vertex has at most d
-    neighbors across; one fixed test pool serves the whole side."""
-    a_side = list(a_side)
-    b_side = list(b_side)
-    if not a_side or not b_side:
-        return []
-    if d < 1:
-        raise ValueError("degree bound must be positive")
-    if d >= len(b_side):
-        # no compression available; query pairs directly
-        return [
-            _norm(a, b)
-            for a in a_side
-            for b in b_side
-            if oracle.or_query(1 << a | 1 << b) == 1
-        ]
-    if design is None:
-        if d == 1:
-            design = binary_indexing_design(len(b_side))
-        else:
-            design = build_nonadaptive_design(len(b_side), d, oracle.rng)
-    test_masks = [f2.from_support([b_side[i] for i in t], oracle.n) for t in design.tests]
-    edges = []
-    for a in a_side:
-        bit = 1 << a
-        outcomes = [oracle.or_query(bit | t) for t in test_masks]
-        try:
-            hits = decode(design, outcomes)
-        except DecodeError as exc:
-            raise ViolationError(f"degree bound {d} broken at vertex {a}") from exc
-        edges.extend(_norm(a, b_side[i]) for i in sorted(hits))
-    return edges
-
-
 def greedy_coloring(vertices: Sequence[int], edges) -> list[list[int]]:
     """Proper coloring of a known subgraph, greedy in reverse degeneracy
     order; a graph with t edges never needs more than floor(sqrt(2t)) + 1
@@ -197,7 +155,6 @@ def learn_cross_edges_colored(
     y_side: Sequence[int],
     known_edges,
     backend: str = "classical_adaptive",
-    d: int | None = None,
 ) -> list[tuple[int, int]]:
     """All edges between two blocks whose internal edges are already known.
 
@@ -211,10 +168,7 @@ def learn_cross_edges_colored(
     edges = []
     for xc in x_classes:
         for yc in y_classes:
-            if d is not None:
-                edges.extend(learn_bipartite_bounded_degree(oracle, xc, yc, d))
-            else:
-                edges.extend(learn_bipartite_edges(oracle, xc, yc, backend=backend))
+            edges.extend(learn_bipartite_edges(oracle, xc, yc, backend=backend))
     return edges
 
 
@@ -222,7 +176,6 @@ def learn_merge_tree(
     oracle: GraphOracle,
     parts: Sequence[Sequence[int]],
     backend: str = "classical_adaptive",
-    d: int | None = None,
 ) -> list[tuple[int, int]]:
     """Merge independent parts pairwise until one block holds every edge.
 
@@ -238,9 +191,7 @@ def learn_merge_tree(
         for i in range(0, len(blocks), 2):
             (xv, xe), (yv, ye) = blocks[i], blocks[i + 1]
             known = xe + ye
-            cross = learn_cross_edges_colored(
-                oracle, xv, yv, known, backend=backend, d=d
-            )
+            cross = learn_cross_edges_colored(oracle, xv, yv, known, backend=backend)
             merged.append((xv + yv, known + cross))
         blocks = merged
     return blocks[0][1] if blocks else []
@@ -286,7 +237,6 @@ def learn_graph_or(
     oracle: GraphOracle,
     m_hint: int | None = None,
     backend: str = "classical_adaptive",
-    d: int | None = None,
 ) -> Graph:
     """Learn an arbitrary hidden graph from edge-existence queries alone.
 
@@ -307,7 +257,7 @@ def learn_graph_or(
             m_guess *= 2
             if m_guess > n * n:
                 raise
-    edges = learn_merge_tree(oracle, parts, backend=backend, d=d)
+    edges = learn_merge_tree(oracle, parts, backend=backend)
     return Graph(n, edges)
 
 

@@ -1,6 +1,5 @@
-"""Group-testing solver and designs, with hand-traced query counts."""
+"""Group-testing solver, with hand-traced query counts."""
 
-import itertools
 import math
 
 import numpy as np
@@ -8,13 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab.cgt import (
-    binary_indexing_design,
-    build_nonadaptive_design,
-    cgt_solve,
-    decode,
-)
-from gqlab.errors import ConstructionError, DecodeError, ViolationError
+from gqlab.cgt import cgt_solve
+from gqlab.errors import ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle, QueryLedger
 
@@ -326,68 +320,3 @@ def test_quantum_promise_mismatch_raises():
             )
     assert ledger.counts["charged_quantum"] == 0
 
-
-# -- nonadaptive designs ------------------------------------------------------------
-
-def test_random_design_decodes_every_small_support():
-    rng = np.random.default_rng(7)
-    design = build_nonadaptive_design(12, 2, rng)
-    assert design.kind == "random_disjunct"
-    supports = [frozenset()]
-    supports += [frozenset((i,)) for i in range(12)]
-    supports += [frozenset(p) for p in itertools.combinations(range(12), 2)]
-    assert len(supports) == 79
-    for truth in supports:
-        assert decode(design, design.apply(truth)) == truth
-
-
-def test_random_design_larger_universe_spot_checks():
-    rng = np.random.default_rng(11)
-    design = build_nonadaptive_design(60, 2, rng)
-    for _ in range(300):
-        size = int(rng.integers(0, 3))
-        truth = frozenset(int(v) for v in rng.choice(60, size=size, replace=False))
-        assert decode(design, design.apply(truth)) == truth
-
-
-def test_corrupted_outcomes_never_decode_to_the_truth():
-    rng = np.random.default_rng(13)
-    design = build_nonadaptive_design(12, 2, rng)
-    truth = frozenset({3, 9})
-    base = list(design.apply(truth))
-    for t in range(len(base)):
-        flipped = list(base)
-        flipped[t] ^= 1
-        try:
-            assert decode(design, flipped) != truth
-        except DecodeError:
-            pass
-
-
-def test_construction_failure_surfaces():
-    rng = np.random.default_rng(19)
-    with pytest.raises(ConstructionError):
-        build_nonadaptive_design(12, 2, rng, c=0.05, max_attempts=3)
-    with pytest.raises(ValueError):
-        build_nonadaptive_design(4, 4, rng)
-
-
-def test_binary_indexing_design_exact():
-    design = binary_indexing_design(10)
-    assert design.kind == "binary_index"
-    assert len(design.tests) == 4
-    assert decode(design, design.apply([])) == frozenset()
-    for i in range(10):
-        assert decode(design, design.apply([i])) == {i}
-    # outcome word beyond the universe
-    with pytest.raises(DecodeError):
-        decode(design, (1, 1, 1, 1))  # value 15 > 10
-    with pytest.raises(DecodeError):
-        decode(design, (1, 1))  # wrong width
-
-
-def test_design_test_count_formula():
-    rng = np.random.default_rng(23)
-    design = build_nonadaptive_design(30, 2, rng)
-    # ceil(8 * 4 * ln 31)
-    assert len(design.tests) == 110

@@ -113,7 +113,7 @@ def test_emit_refuses_empty_without_flag(tmp_path):
 
 
 # grid-point keys the learners and families read as integers
-INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint", "design_d")
+INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint")
 
 # fields of the right name but the wrong type, arity or range
 MALFORMED = (
@@ -137,9 +137,10 @@ MALFORMED = (
     {"learner": "bell_family", "family": "all_small_graphs", "grid": [{"n": 4}]},
     {"learner": "cgt", "family": "defect_set", "grid": [{"n": 16}]},
     {"learner": "junta_symmetric", "family": "majority_junta", "grid": [{"n": 16}]},
-    # keys that nothing reads: a removed knob and a misspelt m_hint
+    # keys that nothing reads: removed knobs and a misspelt m_hint
     {"learner": "junta_symmetric", "family": "majority_junta",
      "grid": [{"n": 16, "k": 5, "delta": 0}]},
+    {"learner": "or_full", "family": "matching", "grid": [{"n": 8, "m": 4, "design_d": 2}]},
     {"learner": "or_full", "family": "matching", "grid": [{"n": 8, "m": 4, "mhint": 4}]},
     # more edges than vertex pairs, though within the degree bound
     {"learner": "graphstate_bounded_degree", "family": "bounded_degree",

@@ -15,7 +15,6 @@ from gqlab.or_learners import (
     StarResult,
     find_nonisolated,
     greedy_coloring,
-    learn_bipartite_bounded_degree,
     learn_bipartite_edges,
     learn_clique_or,
     learn_graph_or,
@@ -81,48 +80,6 @@ def test_bipartite_edges_quantum_backend_charges():
     # the nonempty check, plus the two-query recheck fired by every
     # a-side vertex coming back active
     assert oracle.ledger.counts["or_query"] == 3
-
-
-def test_bounded_degree_bipartite_exact():
-    rng = np.random.default_rng(5)
-    a_side = list(range(6))
-    b_side = list(range(6, 26))
-    for trial in range(10):
-        edges = []
-        for a in a_side:
-            deg = int(rng.integers(0, 3))
-            for b in rng.choice(b_side, size=deg, replace=False):
-                edges.append((a, int(b)))
-        oracle = fresh(Graph(26, edges), 50 + trial)
-        got = learn_bipartite_bounded_degree(oracle, a_side, b_side, d=2)
-        assert sorted(got) == sorted(set(edges))
-
-
-def test_bounded_degree_one_uses_binary_indexing_count():
-    a_side = list(range(4))
-    b_side = list(range(4, 24))
-    edges = [(0, 9), (2, 23), (3, 4)]
-    oracle = fresh(Graph(24, edges), 6)
-    got = learn_bipartite_bounded_degree(oracle, a_side, b_side, d=1)
-    assert sorted(got) == sorted(edges)
-    # nonadaptive: |A| * bit_length(|B|) single queries, no more
-    assert oracle.ledger.counts["or_query"] == 4 * (20).bit_length()
-
-
-def test_bounded_degree_violation_detected():
-    b_side = list(range(1, 21))
-    edges = [(0, 1), (0, 2), (0, 3)]  # degree 3 against a d=2 design
-    oracle = fresh(Graph(21, edges), 7)
-    with pytest.raises(ViolationError):
-        learn_bipartite_bounded_degree(oracle, [0], b_side, d=2)
-
-
-def test_bounded_degree_small_other_side_direct():
-    edges = [(0, 3), (1, 3)]
-    oracle = fresh(Graph(4, edges), 8)
-    got = learn_bipartite_bounded_degree(oracle, [0, 1, 2], [3], d=1)
-    assert sorted(got) == sorted(edges)
-    assert oracle.ledger.counts["or_query"] == 3  # one per pair
 
 
 # -- coloring ----------------------------------------------------------------------
@@ -196,12 +153,6 @@ def test_learn_graph_or_quantum_matches_classical():
     quantum = learn_graph_or(oracle_q, m_hint=17, backend="quantum_ideal")
     assert classical == quantum == g
     assert oracle_q.ledger.counts["charged_quantum"] > 0
-
-
-def test_learn_graph_or_bounded_degree_routing():
-    g = Graph(14, [(0, 1), (2, 3), (4, 5), (6, 7), (8, 9), (10, 11), (1, 12)])
-    got = learn_graph_or(fresh(g, 13), m_hint=7, d=2)
-    assert got == g
 
 
 def test_learn_graph_or_deterministic_per_seed():
