@@ -3,10 +3,10 @@
 #
 #   scripts/run_all.sh           write each preset's CSV under results/
 #   scripts/run_all.sh --check   write them to a temporary directory instead,
-#                                compare each byte for byte with the one in
-#                                results/ (left untouched), and exit 1 naming
-#                                the first CSV that differs or has no
-#                                reference there
+#                                compare their SHA-256 digests with the
+#                                committed scripts/presets.sha256, and exit 1
+#                                listing every CSV that differs, is missing
+#                                or has no digest there
 set -u
 cd "$(dirname "$0")/.."
 
@@ -38,17 +38,16 @@ for cfg in scripts/*.json; do
         echo "** threshold or usage failure in $cfg" >&2
         status=1
     fi
-    if [ "$check" = 1 ] && [ ! -f "results/$name.csv" ]; then
-        echo "** no reference results/$name.csv; write one by running" \
-            "scripts/run_all.sh (no flag) on the commit to compare against" >&2
-        exit 1
-    fi
-    if [ "$check" = 1 ] && ! cmp -s "$outdir/$name.csv" "results/$name.csv"; then
-        echo "** $name.csv differs from results/$name.csv" >&2
-        exit 1
-    fi
 done
 if [ "$check" = 1 ]; then
-    echo "every preset CSV matches results/"
+    # the digest file lists every preset CSV in this order, so the diff also
+    # shows a CSV that was not written or has no digest
+    if ! (cd "$outdir" && LC_ALL=C sha256sum -- *.csv) \
+        | diff - scripts/presets.sha256 >&2; then
+        echo "** preset CSVs differ from scripts/presets.sha256" \
+            "(lines marked < are this run's)" >&2
+        exit 1
+    fi
+    echo "every preset CSV matches scripts/presets.sha256"
 fi
 exit $status

@@ -131,6 +131,8 @@ def maj_coefficient(k: int, subset_size: int) -> float:
 
 def maj_level_weights(k: int) -> np.ndarray:
     """Level weights of (-1)^MAJ_k from the closed form; no 2^k enumeration."""
+    if k % 2 == 0 or k < 1:
+        raise ValueError("majority needs odd arity")
     weights = np.zeros(k + 1)
     for l in range(1, k + 1, 2):
         # math.comb keeps this exact until the final float division

@@ -131,6 +131,10 @@ class ExperimentConfig:
             raise ValueError("trials must be a nonnegative integer")
         if not _is_number(self.seed, numbers.Integral) or self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if self.slack is not None and not (
+            _is_number(self.slack, numbers.Integral) and self.slack >= 0
+        ):
+            raise ValueError("slack must be a nonnegative integer")
         if self.min_success is not None and not (
             _is_number(self.min_success) and 0 <= self.min_success <= 1
         ):

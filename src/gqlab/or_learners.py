@@ -1,9 +1,10 @@
 """Learners that only see the hidden graph through edge-existence queries.
 
 The general learner peels the vertex set into independent parts, then merges
-parts pairwise up a tree; cross edges between two merged blocks are learned
-class-pair by class-pair after greedy-coloring each block's already-known
-subgraph, which keeps every queried side independent.  Specialists for
+parts pairwise up a tree.  The edges found so far are kept as one row word
+per vertex; cross edges between two merged blocks are learned class-pair by
+class-pair after greedy-coloring each block's subgraph in those rows, which
+is fully known and so keeps every queried side independent.  Specialists for
 promised cliques and stars ride Fourier samples of the OR function to beat
 the classical query counts.
 """
@@ -114,17 +115,13 @@ def _norm(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def greedy_coloring(vertices: Sequence[int], edges) -> list[list[int]]:
-    """Proper coloring of a known subgraph, greedy in reverse degeneracy
-    order; a graph with t edges never needs more than floor(sqrt(2t)) + 1
-    classes."""
+def greedy_coloring(vertices: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
+    """Proper coloring of the subgraph that the row words induce on
+    ``vertices``, greedy in reverse degeneracy order; a graph with t edges
+    never needs more than floor(sqrt(2t)) + 1 classes."""
     verts = list(vertices)
-    vset = set(verts)
-    adj = {v: set() for v in verts}
-    for (u, v) in edges:
-        if u in vset and v in vset:
-            adj[u].add(v)
-            adj[v].add(u)
+    block = sum(1 << v for v in verts)
+    adj = {v: f2.support(rows[v] & block) for v in verts}
     # peel minimum-degree vertices to get a degeneracy order
     degrees = {v: len(adj[v]) for v in verts}
     live = set(verts)
@@ -153,18 +150,19 @@ def learn_cross_edges_colored(
     oracle: GraphOracle,
     x_side: Sequence[int],
     y_side: Sequence[int],
-    known_edges,
+    rows: Sequence[int],
     backend: str = "classical_adaptive",
 ) -> list[tuple[int, int]]:
     """All edges between two blocks whose internal edges are already known.
 
-    Each block is colored by its known subgraph, so every queried class is a
-    genuine independent set.
+    Each block is colored by its subgraph in ``rows``, one word per vertex,
+    so every queried class is a genuine independent set.  Returns the cross
+    edges; ``rows`` is left as it is.
     """
     if not x_side or not y_side:
         return []
-    x_classes = greedy_coloring(x_side, known_edges)
-    y_classes = greedy_coloring(y_side, known_edges)
+    x_classes = greedy_coloring(x_side, rows)
+    y_classes = greedy_coloring(y_side, rows)
     edges = []
     for xc in x_classes:
         for yc in y_classes:
@@ -176,25 +174,27 @@ def learn_merge_tree(
     oracle: GraphOracle,
     parts: Sequence[Sequence[int]],
     backend: str = "classical_adaptive",
-) -> list[tuple[int, int]]:
+) -> list[int]:
     """Merge independent parts pairwise until one block holds every edge.
 
-    The invariant: a block's internal edges are fully known, so its coloring
-    in the next round is proper.  Parts are padded with empty blocks to a
-    power of two.
+    Returns one row word per vertex, into which each level's cross edges
+    are set.  The invariant: a block's internal edges are fully known, so
+    its coloring in the next round is proper.  Parts are padded with empty
+    blocks to a power of two.
     """
-    blocks = [(list(p), []) for p in parts]
+    rows = [0] * oracle.n
+    blocks = [list(p) for p in parts]
     while len(blocks) & (len(blocks) - 1):
-        blocks.append(([], []))
+        blocks.append([])
     while len(blocks) > 1:
         merged = []
-        for i in range(0, len(blocks), 2):
-            (xv, xe), (yv, ye) = blocks[i], blocks[i + 1]
-            known = xe + ye
-            cross = learn_cross_edges_colored(oracle, xv, yv, known, backend=backend)
-            merged.append((xv + yv, known + cross))
+        for xv, yv in zip(blocks[::2], blocks[1::2]):
+            for u, v in learn_cross_edges_colored(oracle, xv, yv, rows, backend=backend):
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            merged.append(xv + yv)
         blocks = merged
-    return blocks[0][1] if blocks else []
+    return rows
 
 
 def peel_independent_sets(
@@ -257,8 +257,7 @@ def learn_graph_or(
             m_guess *= 2
             if m_guess > n * n:
                 raise
-    edges = learn_merge_tree(oracle, parts, backend=backend)
-    return Graph(n, edges)
+    return Graph.from_rows(learn_merge_tree(oracle, parts, backend=backend))
 
 
 # -- promised structure -----------------------------------------------------------

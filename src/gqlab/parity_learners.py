@@ -134,11 +134,11 @@ def learn_from_family(
 
 @dataclass(frozen=True)
 class BoundedDegreeResult:
-    """Per-vertex rows: resolved neighbor sets, plus the over-degree marks."""
+    """Per-vertex row words, plus the over-degree marks; a marked row is 0."""
 
     n: int
     d: int
-    neighbors: dict[int, frozenset[int]]
+    rows: tuple[int, ...]
     over_degree: frozenset[int]
     samples_used: int
 
@@ -148,23 +148,16 @@ class BoundedDegreeResult:
             raise ViolationError(
                 f"{len(self.over_degree)} rows exceed degree {self.d}"
             )
-        return _assemble(self.n, self.neighbors)
+        return _assemble(self.rows)
 
 
-def _assemble(n: int, rows: dict[int, frozenset[int]]) -> Graph:
-    """The graph whose rows these are; every neighbor claim must be returned.
-
-    A claim of the row's own vertex, or one not returned (a vertex without
-    a row returns none), raises AmbiguityError.
-    """
-    edges = []
-    for v, nbrs in rows.items():
-        for u in nbrs:
-            if u == v or v not in rows.get(u, ()):
-                raise AmbiguityError("row assembly is not symmetric")
-            if v < u:
-                edges.append((v, u))
-    return Graph(n, edges)
+def _assemble(rows: Sequence[int]) -> Graph:
+    """The graph whose rows these are; every neighbor claim must be returned,
+    so a claim ``Graph.from_rows`` refuses raises AmbiguityError."""
+    try:
+        return Graph.from_rows(rows)
+    except ValueError as exc:
+        raise AmbiguityError(f"row assembly is not symmetric: {exc}") from exc
 
 
 def _count_supports(n_items: int, w: int) -> int:
@@ -372,19 +365,17 @@ def learn_bounded_degree(
         complete = Graph.from_rows([every ^ 1 << v for v in range(n)])
         full = learn_subgraph_of(h, complete, n - 1, slack=slack)
         over = frozenset(v for v in range(n) if full.degree(v) > d)
-        neighbors = {v: frozenset(full.neighbors(v)) for v in range(n) if v not in over}
+        rows = tuple(0 if v in over else r for v, r in enumerate(full.adj_bits))
         samples = h.ledger.delta(before)["graph_state_copy"] // 2
-        return BoundedDegreeResult(n, d, neighbors, over, samples)
+        return BoundedDegreeResult(n, d, rows, over, samples)
 
     m_guess = m_hint if m_hint is not None else n * (n - 1) // 2
     l = math.ceil(math.log2(max(m_guess, 2))) + slack
     batch = collect_samples(h, l, parity=_parity)
     nonzero = [v for v in range(n) if batch.Y[v] != 0]
-    neighbors: dict[int, frozenset[int]] = {
-        v: frozenset() for v in range(n) if batch.Y[v] == 0
-    }
+    rows = [0] * n
     if not nonzero:
-        return BoundedDegreeResult(n, d, neighbors, frozenset(), batch.k)
+        return BoundedDegreeResult(n, d, tuple(rows), frozenset(), batch.k)
 
     nprime = len(nonzero)
     # n' fixes the decoder's size, so a decode that cannot run is refused
@@ -414,8 +405,8 @@ def learn_bounded_degree(
         if not found:
             over.add(v)
         else:
-            neighbors[v] = frozenset(nonzero[j] for j in found[0])
-    return BoundedDegreeResult(n, d, neighbors, frozenset(over), batch.k)
+            rows[v] = sum(1 << nonzero[j] for j in found[0])
+    return BoundedDegreeResult(n, d, tuple(rows), frozenset(over), batch.k)
 
 
 # -- subgraph of a known graph ---------------------------------------------------------
@@ -439,22 +430,20 @@ def learn_subgraph_of(
         raise ValueError("supergraph width mismatch")
     if any(gprime.degree(v) > d for v in range(n)):
         raise ValueError("supergraph exceeds the claimed degree bound")
-    candidates = {v: gprime.neighbors(v) for v in range(n)}
-    if all(not c for c in candidates.values()):
+    if not gprime.m:
         return Graph(n, [])
 
     k = d + math.ceil(math.log2(max(n, 2))) + slack
     batch = collect_samples(h, k)
-    rows: dict[int, frozenset[int]] = {}
+    rows = [0] * n
     pending = list(range(n))
     for round_idx in range(11):
         if round_idx:
             batch = collect_samples(h, 8, extend=batch)
         still = []
         for v in pending:
-            cand = candidates[v]
+            cand = gprime.neighbors(v)
             if not cand:
-                rows[v] = frozenset()
                 continue
             system = f2.transpose_words([batch.B[u] for u in cand], batch.k)
             solution = f2.solve(system, len(cand), batch.Y[v])
@@ -464,7 +453,7 @@ def learn_subgraph_of(
             if nullspace:
                 still.append(v)
                 continue
-            rows[v] = frozenset(cand[j] for j in f2.support(particular))
+            rows[v] = sum(1 << cand[j] for j in f2.support(particular))
         if not still:
             break
         pending = still
@@ -472,7 +461,7 @@ def learn_subgraph_of(
         raise AmbiguityError(
             f"{len(pending)} rows stayed underdetermined after 10 top-ups"
         )
-    return _assemble(n, rows)
+    return _assemble(rows)
 
 
 # -- bounded edge count ------------------------------------------------------------------
@@ -493,12 +482,12 @@ def learn_bounded_edges_parity(
         raise ValueError("edge bound must be nonnegative")
     d = max(1, math.ceil(math.sqrt(m / math.log2(m + 2))))
     result = learn_bounded_degree(h, d, m_hint=max(m, 1), slack=slack, _parity=True)
-    rows = dict(result.neighbors)
+    rows = list(result.rows)
     for v in sorted(result.over_degree):
-        rows[v] = frozenset(f2.support(h.parity_vector_query(1 << v)))
+        rows[v] = h.parity_vector_query(1 << v)
     # exact rows are complete, so a true claim is always reciprocated; an
     # unreciprocated one exposes a wrong sparse row
-    graph = _assemble(h.n, rows)
+    graph = _assemble(rows)
     if graph.m > m:
         raise ViolationError(f"{graph.m} edges exceed the promise {m}")
     return graph

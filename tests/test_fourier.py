@@ -128,6 +128,10 @@ def test_maj_rejects_even_arity():
         maj_truth(4)
     with pytest.raises(ValueError):
         maj_coefficient(4, 1)
+    # even k would give weights summing below 1: 0.5, 0.625, 0.6875 at 2, 4, 6
+    for k in (0, 2, 4, 6):
+        with pytest.raises(ValueError):
+            maj_level_weights(k)
 
 
 # -- exact-half ---------------------------------------------------------------

@@ -137,6 +137,13 @@ MALFORMED = (
     {"learner": "bell_family", "family": "all_small_graphs", "grid": [{"n": 4}]},
     {"learner": "cgt", "family": "defect_set", "grid": [{"n": 16}]},
     {"learner": "junta_symmetric", "family": "majority_junta", "grid": [{"n": 16}]},
+    # majority of an even arity has no Fourier distribution
+    {"learner": "junta_symmetric", "family": "majority_junta", "grid": [{"n": 8, "k": 4}]},
+    # slack must be a nonnegative integer
+    {"learner": "parity_bounded_edges", "slack": -20},
+    {"learner": "graphstate_bounded_degree", "family": "bounded_degree",
+     "grid": [{"n": 16, "d": 2, "m": 8}], "slack": -30},
+    {"slack": 1.5},
     # keys that nothing reads: removed knobs and a misspelt m_hint
     {"learner": "junta_symmetric", "family": "majority_junta",
      "grid": [{"n": 16, "k": 5, "delta": 0}]},

@@ -91,7 +91,7 @@ def test_greedy_coloring_proper_and_bounded(n, seed):
     pairs = all_pairs(range(n))
     m = int(rng.integers(0, len(pairs) + 1))
     edges = [pairs[i] for i in rng.choice(len(pairs), size=m, replace=False)] if pairs else []
-    classes = greedy_coloring(range(n), edges)
+    classes = greedy_coloring(range(n), Graph(n, edges).adj_bits)
     seen = sorted(v for cls in classes for v in cls)
     assert seen == list(range(n))
     eset = set(edges)
