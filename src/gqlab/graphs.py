@@ -95,6 +95,21 @@ class Graph:
         g.n, g.adj_bits, g.m = n, adj, upper
         return g
 
+    @classmethod
+    def star(cls, n: int, center: int, leaves) -> Graph:
+        """The star joining ``center`` to each of ``leaves`` on n vertices."""
+        return cls(n, ((center, leaf) for leaf in leaves))
+
+    @classmethod
+    def clique(cls, n: int, members) -> Graph:
+        """The clique on ``members``; the other vertices are isolated."""
+        mask = 0
+        for v in members:
+            mask |= 1 << v
+        if mask >> n:
+            raise ValueError(f"a member is outside 0..{n - 1}")
+        return cls.from_rows([mask ^ 1 << v if mask >> v & 1 else 0 for v in range(n)])
+
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
         """Every edge as (u, v) with u < v, read from the rows."""
@@ -264,18 +279,12 @@ def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
         if spec.m is None or spec.m < 1 or spec.m + 1 > n:
             raise ValueError("star needs 1 <= m <= n-1 edges")
         sup = _support(n, spec.m + 1, rng)
-        center, leaves = sup[0], sup[1:]
-        return Graph(n, ((center, leaf) for leaf in leaves))
+        return Graph.star(n, sup[0], sup[1:])
 
     if kind == "clique":
         if spec.k is None or spec.k < 2:
             raise ValueError("clique needs k >= 2")
-        members = _support(n, spec.k, rng)
-        mask = sum(1 << v for v in members)
-        rows = [0] * n
-        for v in members:
-            rows[v] = mask ^ 1 << v
-        return Graph.from_rows(rows)
+        return Graph.clique(n, _support(n, spec.k, rng))
 
     if kind == "bounded_degree":
         if spec.d is None or spec.d < 1:

@@ -119,6 +119,15 @@ class ExperimentConfig:
             object.__setattr__(self, "slope_range", tuple(self.slope_range))
 
     def validate(self) -> None:
+        for name in ("learner", "family", "backend", "fmt"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, not {getattr(self, name)!r}")
+        for name in ("sweep", "metric", "out"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name} must be a string or null, not {value!r}")
+        if not isinstance(self.record_wall_time, bool):
+            raise ValueError("record_wall_time must be true or false")
         if self.learner not in LEARNERS:
             raise ValueError(f"unknown learner {self.learner!r}")
         if self.family not in LEARNERS[self.learner].families:
@@ -304,32 +313,24 @@ class Learner:
 
     ``solve(oracle, hidden, point, cfg, side)`` runs the learner; it reads
     ``hidden`` only for the ``m_hint`` default.  A trial succeeds when the
-    answer equals ``truth(hidden)``.  ``columns`` names the point keys echoed
-    into the ``d``/``k`` CSV columns; ``m`` is the hidden graph's edge count
-    (empty for defect sets and juntas).  A trial that raises a
-    :class:`GqlabError` echoes the point's own ``m``, ``d`` and ``k``.
+    answer equals ``hidden``, so a graph learner answers with a ``Graph``,
+    ``cgt`` with the defect set and the junta learner with its support.
+    ``columns`` names the point keys echoed into the ``d``/``k`` CSV
+    columns; ``m`` is the hidden graph's edge count (empty for defect sets
+    and juntas).  A trial that raises a :class:`GqlabError` echoes the
+    point's own ``m``, ``d`` and ``k``.
     ``needs`` names the point keys ``solve`` reads without a default.
     """
 
     families: tuple[str, ...]
     metric: str
     solve: Callable
-    truth: Callable = lambda hidden: hidden
     columns: tuple[str, ...] = ()
     needs: tuple[str, ...] = ()
 
 
 def _slack(cfg: ExperimentConfig) -> dict:
     return {} if cfg.slack is None else {"slack": cfg.slack}
-
-
-def _non_isolated(hidden: Graph) -> frozenset[int]:
-    return frozenset(hidden.non_isolated())
-
-
-def _star(hidden: Graph) -> tuple[int, frozenset[int]]:
-    center = hidden.is_star()
-    return center, frozenset(hidden.neighbors(center))
 
 
 def _solve_bounded_degree(h, hidden, point, cfg, side):
@@ -349,14 +350,12 @@ LEARNERS = {
         columns=("d", "k")),
     "or_star": Learner(
         ("star",), "or_query+charged_quantum",
-        lambda h, g, p, cfg, side: set(
-            or_learners.learn_star_or(h, backend=cfg.backend).edges()),
-        truth=lambda g: g.edges),
+        lambda h, g, p, cfg, side: or_learners.learn_star_or(h, backend=cfg.backend)),
     "or_clique": Learner(
         ("clique",), "or_query+charged_quantum",
         lambda h, g, p, cfg, side: or_learners.learn_clique_or(
             h, p["k"], backend=cfg.backend),
-        truth=_non_isolated, columns=("k",), needs=("k",)),
+        columns=("k",), needs=("k",)),
     "parity_arbitrary": Learner(
         FAMILY_KINDS, "parity_query",
         lambda h, g, p, cfg, side: parity_learners.learn_arbitrary_parity(h),
@@ -372,12 +371,11 @@ LEARNERS = {
         "graph_state_copy", _solve_bounded_degree, columns=("d",), needs=("d",)),
     "graphstate_star": Learner(
         ("star",), "graph_state_copy",
-        lambda h, g, p, cfg, side: parity_learners.learn_star_graphstate(h),
-        truth=_star),
+        lambda h, g, p, cfg, side: parity_learners.learn_star_graphstate(h)),
     "graphstate_clique": Learner(
         ("clique",), "graph_state_copy",
         lambda h, g, p, cfg, side: parity_learners.learn_clique_graphstate(h),
-        truth=_non_isolated, columns=("k",)),
+        columns=("k",)),
     "bell_family": Learner(
         ("all_small_graphs",), "graph_state_copy",
         lambda h, g, p, cfg, family: parity_learners.learn_from_family(
@@ -416,7 +414,7 @@ def _run_trial(cfg: ExperimentConfig, point_idx: int, trial_idx: int) -> TrialRe
     t0 = time.perf_counter() if cfg.record_wall_time else 0.0
     try:
         oracle, hidden, side = _instance(cfg.family, point, rng, ledger)
-        success = row.solve(oracle, hidden, point, cfg, side) == row.truth(hidden)
+        success = row.solve(oracle, hidden, point, cfg, side) == hidden
         m = hidden.m if isinstance(hidden, Graph) else None
         d = point.get("d") if "d" in row.columns else None
         k = point.get("k") if "k" in row.columns else None

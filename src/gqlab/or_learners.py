@@ -6,13 +6,13 @@ per vertex; cross edges between two merged blocks are learned class-pair by
 class-pair after greedy-coloring each block's subgraph in those rows, which
 is fully known and so keeps every queried side independent.  Specialists for
 promised cliques and stars ride Fourier samples of the OR function to beat
-the classical query counts.
+the classical query counts.  Every learner here answers with the ``Graph``
+it recovered.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from gqlab import f2
@@ -22,7 +22,6 @@ from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
 __all__ = [
-    "StarResult",
     "find_nonisolated",
     "learn_bipartite_edges",
     "greedy_coloring",
@@ -267,8 +266,8 @@ def learn_clique_or(
     oracle: GraphOracle,
     k: int,
     backend: str = "quantum_ideal",
-) -> frozenset[int]:
-    """Identify the members of a hidden k-clique (k >= 2, no other edges).
+) -> Graph:
+    """Learn a hidden k-clique (k >= 2, no other edges).
 
     A Fourier sample of the edge-existence function restricted to a random
     1/k-density subset lands on genuine clique vertices whenever the subset
@@ -298,32 +297,21 @@ def learn_clique_or(
     members = sorted(others)
     if len(members) >= 2 and oracle.or_query(members[:2]) != 1:
         raise ViolationError("clique promise broken: found members not adjacent")
-    return frozenset({anchor, *others})
-
-
-@dataclass(frozen=True)
-class StarResult:
-    """A learned star.  With a single edge the two endpoints are
-    interchangeable, which ``center_determined`` records."""
-
-    center: int
-    leaves: frozenset[int]
-    center_determined: bool
-
-    def edges(self) -> list[tuple[int, int]]:
-        return [_norm(self.center, leaf) for leaf in sorted(self.leaves)]
+    return Graph.clique(n, [anchor, *others])
 
 
 def learn_star_or(
     oracle: GraphOracle,
     backend: str = "quantum_ideal",
     rounds_cap: int = 20,
-) -> StarResult:
+) -> Graph:
     """Learn a hidden star (all edges share one endpoint, at least one edge).
 
     The center carries almost all Fourier mass of the edge-existence
     function, so four samples a round plus a one-query verification pin it;
-    the leaves then come out by group testing against the center.
+    the leaves then come out by group testing against the center.  A single
+    edge has no determined center: either endpoint may pass the
+    verification, and the answer is that edge whichever one does.
     """
     n = oracle.n
     for _ in range(rounds_cap):
@@ -345,4 +333,4 @@ def learn_star_or(
     leaves = _search_with(oracle, others, 1 << candidate, backend=backend)
     if not leaves:
         raise ViolationError("verified center has no leaves; not a star?")
-    return StarResult(candidate, frozenset(leaves), center_determined=len(leaves) >= 2)
+    return Graph.star(n, candidate, leaves)

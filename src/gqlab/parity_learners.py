@@ -499,43 +499,38 @@ def learn_bounded_edges_parity(
 def learn_arbitrary_parity(h: GraphOracle) -> Graph:
     """Read the adjacency matrix as A I, one block of n columns: 2n parity queries flat."""
     n = h.n
-    rows = h.parity_block_query([1 << i for i in range(n)], n)
-    if f2.transpose_words(rows, n) != rows:
-        raise AmbiguityError("oracle returned an asymmetric matrix")
-    if any(r >> i & 1 for i, r in enumerate(rows)):
-        raise AmbiguityError("oracle returned a nonzero diagonal")
-    return Graph.from_rows(rows)
+    return _assemble(h.parity_block_query([1 << i for i in range(n)], n))
 
 
 # -- promised shapes from state samples ----------------------------------------------------
 
 
-def learn_star_graphstate(
-    h: GraphOracle,
-    cap: int = 200,
-) -> tuple[int, frozenset[int]]:
-    """Learn a star with at least two edges from X-basis measurements.
+def learn_star_graphstate(h: GraphOracle, cap: int = 200) -> Graph:
+    """Learn a star from X-basis measurements.
 
-    Each sample lands on one of four equiprobable outcomes; weight one names
-    the center, weight two or more is the leaf pattern with or without the
-    center mixed in.  One of each suffices.
+    Each sample lands on one of four equiprobable outcomes: zero, the
+    center alone, the leaves, or the leaves with the center.  Weight one
+    names the center and weight two or more gives the leaves once the
+    center is cleared; one of each suffices.  A single edge has no
+    determined center: either endpoint comes alone, and the answer is that
+    edge whichever one does.
     """
     center = None
-    pattern = None
+    pattern = 0
     for _ in range(cap):
         z = h.hadamard_sample()
         w = z.bit_count()
         if w == 1:
             center = z.bit_length() - 1
         elif w >= 2:
-            pattern = frozenset(f2.support(z))
-        if center is not None and pattern is not None:
-            return center, pattern - {center}
+            pattern = z
+        if center is not None and pattern:
+            return Graph.star(h.n, center, f2.support(pattern & ~(1 << center)))
     raise RetryBudgetError(f"center or leaf pattern still unseen after {cap} samples")
 
 
-def learn_clique_graphstate(h: GraphOracle) -> frozenset[int]:
-    """Learn a clique's vertex set from Bell samples.
+def learn_clique_graphstate(h: GraphOracle) -> Graph:
+    """Learn a clique from Bell samples.
 
     Every nonzero y is supported inside the clique and covers each member
     with probability 1/2, so unioning a logarithmic number of nonzero
@@ -544,16 +539,16 @@ def learn_clique_graphstate(h: GraphOracle) -> frozenset[int]:
     n = h.n
     target_nonzero = 7 + math.ceil(math.log2(max(n, 2)))
     cap = max(20, 4 * target_nonzero)
-    members: set[int] = set()
+    members = 0
     seen_nonzero = 0
     for _ in range(cap):
         _, y = h.bell_sample()
         if y == 0:
             continue
-        members.update(f2.support(y))
+        members |= y
         seen_nonzero += 1
         if seen_nonzero == target_nonzero:
-            return frozenset(members)
+            return Graph.clique(n, f2.support(members))
     raise RetryBudgetError(
         f"only {seen_nonzero}/{target_nonzero} informative samples in {cap}"
     )

@@ -82,6 +82,19 @@ class TestGraphBasics:
             with pytest.raises(ValueError):
                 Graph.from_rows(bad)
 
+    def test_star_and_clique_constructors(self):
+        assert Graph.star(6, 2, [0, 5, 3]) == Graph(6, [(2, 0), (2, 5), (2, 3)])
+        assert Graph.star(4, 1, []) == Graph(4, [])
+        assert Graph.clique(6, [4, 0, 2]) == Graph(6, [(0, 2), (0, 4), (2, 4)])
+        assert Graph.clique(6, [3]) == Graph(6, [])
+        assert Graph.clique(6, [1, 4]).m == 1
+        for bad in ([1, 6], [7, 8], [-1, 2]):
+            with pytest.raises(ValueError):
+                Graph.clique(6, bad)
+        for bad in ([2], [6], [-1]):
+            with pytest.raises(ValueError):
+                Graph.star(6, 2, bad)
+
     def test_is_star(self):
         assert Graph(5, [(0, 2), (2, 4), (2, 3)]).is_star() == 2
         assert Graph(5, [(0, 1)]).is_star() == 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from gqlab import harness
-from gqlab.errors import ViolationError
+from gqlab.errors import GqlabError, ViolationError
 from gqlab.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -19,6 +19,7 @@ from gqlab.harness import (
     run,
 )
 from gqlab import cli
+from gqlab.oracles import QueryLedger
 
 
 def small_config(**overrides):
@@ -126,6 +127,15 @@ MALFORMED = (
     {"min_success": 1.5},
     {"backend": "quantm_ideal"},
     {"grid": 5},
+    # fields of the wrong JSON type
+    {"learner": ["x"]},
+    {"family": None},
+    {"backend": 3},
+    {"fmt": ["csv"]},
+    {"metric": 5},
+    {"sweep": ["n"]},
+    {"out": 5},
+    {"record_wall_time": 1},
     # points the family cannot build, or that lack a key the learner reads
     {"learner": "or_full", "family": "hamiltonian_cycle", "grid": [{"n": 16}]},
     {"learner": "or_full", "family": "matching", "grid": [{"n": 8}]},
@@ -289,17 +299,24 @@ def test_cli_overrides_and_json_format(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_exit_codes(tmp_path, capsys):
+def test_cli_exit_codes(tmp_path, monkeypatch, capsys):
     missing = cli.main(["run", "--config", str(tmp_path / "absent.json")])
     assert missing == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{\"learner\": \"nope\"}")
     assert cli.main(["run", "--config", str(bad)]) == 2
     base = json.loads(small_config().to_json())
-    for fields in MALFORMED:
-        bad.write_text(json.dumps({**base, **fields}))
-        assert cli.main(["run", "--config", str(bad)]) == 2, fields
-        assert capsys.readouterr().err.startswith("gqlab: ")
+
+    def no_trial(*args):
+        raise AssertionError("a trial ran")
+
+    with monkeypatch.context() as patch:
+        # every malformed config is refused before its first trial
+        patch.setattr(harness, "_run_trial", no_trial)
+        for fields in MALFORMED:
+            bad.write_text(json.dumps({**base, **fields}))
+            assert cli.main(["run", "--config", str(bad)]) == 2, fields
+            assert capsys.readouterr().err.startswith("gqlab: ")
     threshold_cfg = ExperimentConfig(
         learner="bell_family",
         family="all_small_graphs",
@@ -395,6 +412,37 @@ GOLDEN = {
 
 def test_golden_covers_every_learner():
     assert set(GOLDEN) == set(harness.LEARNERS)
+
+
+@pytest.mark.parametrize("learner", sorted(GOLDEN))
+def test_learner_answers_with_the_hidden_type(learner):
+    # a trial succeeds when the answer == hidden, and == across types is
+    # False, so an answer of any other type would only ever score 0
+    family, grid, slack, _ = GOLDEN[learner]
+    point = grid[0]
+    cfg = ExperimentConfig(learner=learner, family=family, grid=(point,), slack=slack)
+    answered = 0
+    for seed in range(6):
+        oracle, hidden, side = harness._instance(
+            family, point, np.random.default_rng(seed), QueryLedger()
+        )
+        try:
+            answer = harness.LEARNERS[learner].solve(oracle, hidden, point, cfg, side)
+        except GqlabError:
+            continue
+        assert answer is None or type(answer) is type(hidden), (answer, hidden)
+        answered += 1
+    assert answered
+
+
+def test_graphstate_star_single_edge_succeeds():
+    # a single edge's center is either endpoint; the answer is the edge
+    cfg = ExperimentConfig(
+        learner="graphstate_star", family="star", grid=({"n": 10, "m": 1},),
+        trials=200, seed=3,
+    )
+    records, summary = run(cfg)
+    assert summary["points"][0]["success_rate"] == 1.0
 
 
 # graphstate_bounded_degree with d > n/4 reads the whole matrix

@@ -12,7 +12,6 @@ from gqlab.errors import RetryBudgetError, ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.or_learners import (
-    StarResult,
     find_nonisolated,
     greedy_coloring,
     learn_bipartite_edges,
@@ -170,21 +169,20 @@ def test_learn_graph_or_deterministic_per_seed():
 def test_learn_clique_exhaustive_k3_n8():
     for members in itertools.combinations(range(8), 3):
         g = Graph(8, all_pairs(members))
-        got = learn_clique_or(fresh(g, sum(members)), k=3)
-        assert got == frozenset(members)
+        assert learn_clique_or(fresh(g, sum(members)), k=3) == g
 
 
 def test_learn_clique_k2_single_edge():
     for (u, v) in itertools.combinations(range(6), 2):
         g = Graph(6, [(u, v)])
-        assert learn_clique_or(fresh(g, u * 7 + v), k=2) == {u, v}
+        assert learn_clique_or(fresh(g, u * 7 + v), k=2) == g
 
 
 def test_learn_clique_quantum_charge_formula():
     members = (1, 4, 5, 9, 13)
     g = Graph(16, all_pairs(members))
     oracle = fresh(g, 15)
-    assert learn_clique_or(oracle, k=5, backend="quantum_ideal") == frozenset(members)
+    assert learn_clique_or(oracle, k=5, backend="quantum_ideal") == g
     assert oracle.ledger.counts["charged_quantum"] == math.ceil(math.sqrt(4))
 
 
@@ -209,29 +207,22 @@ def test_learn_star_sweep_centers_and_sizes():
             leaves = [int(v) for v in rng.choice([u for u in range(10) if u != center], size=m, replace=False)]
             g = Graph(10, [(center, v) for v in leaves])
             res = learn_star_or(fresh(g, center * 31 + m))
-            assert isinstance(res, StarResult)
-            assert res.center == center
-            assert res.leaves == set(leaves)
-            assert res.center_determined
-            assert sorted(res.edges()) == sorted(
-                (min(center, v), max(center, v)) for v in leaves
-            )
+            assert isinstance(res, Graph)
+            assert res == g
 
 
 def test_learn_star_single_edge_flagged():
+    # either endpoint may pass as the center; the answer is the edge itself
     g = Graph(8, [(2, 6)])
-    res = learn_star_or(fresh(g, 19))
-    assert not res.center_determined
-    assert {res.center, *res.leaves} == {2, 6}
-    assert res.edges() == [(2, 6)]
+    for seed in range(19, 29):
+        assert learn_star_or(fresh(g, seed)) == g
 
 
 def test_learn_star_charges():
     center, leaves = 0, [1, 2, 3, 4]
     g = Graph(64, [(center, v) for v in leaves])
     oracle = fresh(g, 20)
-    res = learn_star_or(oracle)
-    assert res.center == center and res.leaves == set(leaves)
+    assert learn_star_or(oracle) == g
     # doubling search over 4 leaves bills 1 + 2 + 2 amplified rounds
     assert oracle.ledger.counts["charged_quantum"] == 5
     # four samples plus the one-query verification in the typical round

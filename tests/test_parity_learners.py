@@ -584,9 +584,7 @@ def test_star_from_measurements_is_cheap_and_exact():
     for seed in range(400):
         ledger = QueryLedger()
         h = make_oracle(g, seed=seed, ledger=ledger)
-        center, leaves = learn_star_graphstate(h)
-        assert center == 7
-        assert leaves == frozenset({0, 3, 11, 25, 39})
+        assert learn_star_graphstate(h) == g
         copies.append(ledger.counts["graph_state_copy"])
     assert sum(copies) / len(copies) <= 12
 
@@ -594,8 +592,7 @@ def test_star_from_measurements_is_cheap_and_exact():
 def test_star_with_two_leaves():
     g = Graph(6, [(2, 0), (2, 5)])
     for seed in range(50):
-        center, leaves = learn_star_graphstate(make_oracle(g, seed=seed))
-        assert center == 2 and leaves == frozenset({0, 5})
+        assert learn_star_graphstate(make_oracle(g, seed=seed)) == g
 
 
 def test_star_budget_error_on_silent_state():
@@ -608,7 +605,7 @@ def test_star_budget_error_on_silent_state():
 def test_clique_single_edge():
     g = Graph(10, [(3, 8)])
     for seed in range(30):
-        assert learn_clique_graphstate(make_oracle(g, seed=seed)) == frozenset({3, 8})
+        assert learn_clique_graphstate(make_oracle(g, seed=seed)) == g
 
 
 def test_clique_recovery_rate_and_sample_budget():
@@ -624,7 +621,7 @@ def test_clique_recovery_rate_and_sample_budget():
             got = learn_clique_graphstate(h)
         except RetryBudgetError:
             continue
-        if got == frozenset(members):
+        if got == g:
             wins += 1
         if ledger.counts["graph_state_copy"] <= 40:
             draws_ok += 1
