@@ -333,13 +333,6 @@ def _slack(cfg: ExperimentConfig) -> dict:
     return {} if cfg.slack is None else {"slack": cfg.slack}
 
 
-def _solve_bounded_degree(h, hidden, point, cfg, side):
-    res = parity_learners.learn_bounded_degree(
-        h, point["d"], m_hint=point.get("m_hint", hidden.m), **_slack(cfg)
-    )
-    return None if res.over_degree else res.graph()
-
-
 # Solvers name learners through their modules (or this module's globals) so
 # that a learner patched after import is the one that runs.
 LEARNERS = {
@@ -368,7 +361,10 @@ LEARNERS = {
         needs=("m",)),
     "graphstate_bounded_degree": Learner(
         ("bounded_degree", "matching", "hamiltonian_cycle", "star"),
-        "graph_state_copy", _solve_bounded_degree, columns=("d",), needs=("d",)),
+        "graph_state_copy",
+        lambda h, g, p, cfg, side: parity_learners.learn_bounded_degree(
+            h, p["d"], m_hint=p.get("m_hint", g.m), **_slack(cfg)),
+        columns=("d",), needs=("d",)),
     "graphstate_star": Learner(
         ("star",), "graph_state_copy",
         lambda h, g, p, cfg, side: parity_learners.learn_star_graphstate(h)),

@@ -23,7 +23,6 @@ from gqlab.oracles import GraphOracle
 __all__ = [
     "SampleBatch",
     "collect_samples",
-    "BoundedDegreeResult",
     "learn_from_family",
     "learn_bounded_degree",
     "learn_subgraph_of",
@@ -132,25 +131,6 @@ def learn_from_family(
 # -- bounded degree ------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundedDegreeResult:
-    """Per-vertex row words, plus the over-degree marks; a marked row is 0."""
-
-    n: int
-    d: int
-    rows: tuple[int, ...]
-    over_degree: frozenset[int]
-    samples_used: int
-
-    def graph(self) -> Graph:
-        """Assemble the full graph; only valid when no row is over-degree."""
-        if self.over_degree:
-            raise ViolationError(
-                f"{len(self.over_degree)} rows exceed degree {self.d}"
-            )
-        return _assemble(self.rows)
-
-
 def _assemble(rows: Sequence[int]) -> Graph:
     """The graph whose rows these are; every neighbor claim must be returned,
     so a claim ``Graph.from_rows`` refuses raises AmbiguityError."""
@@ -158,6 +138,20 @@ def _assemble(rows: Sequence[int]) -> Graph:
         return Graph.from_rows(rows)
     except ValueError as exc:
         raise AmbiguityError(f"row assembly is not symmetric: {exc}") from exc
+
+
+def _audited(rows: Sequence[int], batch: SampleBatch) -> Graph:
+    """``_assemble``, then checked against every sample the learner drew.
+
+    The sparse decoder's columns are the vertices that were non-isolated in
+    phase 1, so it drops an edge whose two endpoints both read 0 there; the
+    batch contradicts such a graph, which raises AmbiguityError.  No query
+    is spent.
+    """
+    graph = _assemble(rows)
+    if not batch.audit(graph):
+        raise AmbiguityError(f"the assembled graph contradicts its {batch.k} samples")
+    return graph
 
 
 def _count_supports(n_items: int, w: int) -> int:
@@ -322,60 +316,33 @@ def _decode_rows(
         yield next(joined) if entry < 0 else [(col,) if col >= 0 else ()]
 
 
-def learn_bounded_degree(
+def _sparse_rows(
     h: GraphOracle,
     d: int,
-    m_hint: int | None = None,
-    slack: int = 7,
-    phase2_k: int | None = None,
-    _parity: bool = False,
-) -> BoundedDegreeResult:
-    """Per-vertex neighbor recovery for rows of weight at most d.
+    m_guess: int,
+    slack: int,
+    parity: bool,
+) -> tuple[list[int], list[int], SampleBatch]:
+    """Rows of weight at most d from two fixed blocks of samples.
 
-    Phase 1 takes ceil(log2 m-guess) + slack samples; the nonzero rows of Y
+    Phase 1 takes ceil(log2 m_guess) + slack samples; the nonzero rows of Y
     are the non-isolated vertices.  Phase 2 adds ceil(d log2(n'/d)) + slack
-    samples and searches each non-isolated row for the unique weight-<=d
-    combination of non-isolated columns matching the observed bits; rows
-    with no match are reported over-degree, and a row with two matches
-    raises.  The search meets in the middle (Stern 1988) and runs as one
-    numpy join over all non-isolated rows (``_decode_rows``): the XOR of
-    every combination of at most floor(d/2) and of at most ceil(d/2) column
-    signatures is tabulated once, and each weight-<=d combination is found
-    exactly once, as its floor(|S|/2) lowest columns from the first table
-    paired with the rest from the second.  A row equal to one column's
-    signature skips the join when d is odd and the weight-<=ceil(d/2)
-    combinations XOR to distinct words: then no weight-<=d+1 combination
-    XORs to zero, so that column is the row's only explanation.  It refuses
-    with ScaleError, before phase 2 draws, when the second table would
-    exceed ``_MAX_TABLE`` entries, C(n', <=ceil(d/2)), or the join
-    ``_MAX_KEYS`` keys, n' C(n', <=floor(d/2)).
-
-    With d above n/4 the sparse search loses its edge; the whole matrix is
-    read from Bell samples instead, as a subgraph of the complete graph, and
-    rows wider than d are marked over-degree.  With ``_parity`` each sample
-    costs two parity queries instead of two state copies, and the full
-    readout is never used: wide rows are left to the caller.
+    samples, and ``_decode_rows`` finds each non-isolated row's weight-<=d
+    explanations over the non-isolated columns.  Returns the row words, the
+    vertices in ascending order whose row has no explanation (their word is
+    0), and the whole batch.  A row with two explanations raises
+    AmbiguityError.  A decode past ``_MAX_TABLE`` table entries,
+    C(n', <=ceil(d/2)), or ``_MAX_KEYS`` join keys, n' C(n', <=floor(d/2)),
+    raises ScaleError before phase 2 draws.  With ``parity`` each sample
+    costs two parity queries instead of two state copies.
     """
     n = h.n
-    if d < 1:
-        raise ValueError("degree bound must be positive")
-    if d > n / 4 and not _parity:
-        before = h.ledger.snapshot()
-        every = (1 << n) - 1
-        complete = Graph.from_rows([every ^ 1 << v for v in range(n)])
-        full = learn_subgraph_of(h, complete, n - 1, slack=slack)
-        over = frozenset(v for v in range(n) if full.degree(v) > d)
-        rows = tuple(0 if v in over else r for v, r in enumerate(full.adj_bits))
-        samples = h.ledger.delta(before)["graph_state_copy"] // 2
-        return BoundedDegreeResult(n, d, rows, over, samples)
-
-    m_guess = m_hint if m_hint is not None else n * (n - 1) // 2
     l = math.ceil(math.log2(max(m_guess, 2))) + slack
-    batch = collect_samples(h, l, parity=_parity)
+    batch = collect_samples(h, l, parity=parity)
     nonzero = [v for v in range(n) if batch.Y[v] != 0]
     rows = [0] * n
     if not nonzero:
-        return BoundedDegreeResult(n, d, tuple(rows), frozenset(), batch.k)
+        return rows, [], batch
 
     nprime = len(nonzero)
     # n' fixes the decoder's size, so a decode that cannot run is refused
@@ -392,21 +359,83 @@ def learn_bounded_degree(
             f"{keys} join keys for {nprime} rows at degree {d} "
             f"exceed the decoder's key bound {_MAX_KEYS}"
         )
-    if phase2_k is None:
-        phase2_k = max(1, math.ceil(d * math.log2(max(2.0, nprime / d)))) + slack
-    batch = collect_samples(h, phase2_k, extend=batch, parity=_parity)
+    k = max(1, math.ceil(d * math.log2(max(2.0, nprime / d)))) + slack
+    batch = collect_samples(h, k, extend=batch, parity=parity)
 
     sigs = [batch.B[u] for u in nonzero]
     targets = [batch.Y[v] for v in nonzero]
-    over = set()
+    over = []
     for v, found in zip(nonzero, _decode_rows(sigs, targets, batch.k, d)):
         if len(found) > 1:
             raise AmbiguityError(f"row {v} has multiple weight-<={d} explanations")
         if not found:
-            over.add(v)
+            over.append(v)
         else:
             rows[v] = sum(1 << nonzero[j] for j in found[0])
-    return BoundedDegreeResult(n, d, tuple(rows), frozenset(over), batch.k)
+    return rows, over, batch
+
+
+def _solve_rows(h: GraphOracle, cand: Sequence[int], k: int) -> list[int]:
+    """Each row v solved exactly over the columns set in ``cand[v]``.
+
+    Draws k Bell samples and solves every row's system with ``f2.solve``; an
+    underdetermined row pulls a top-up round of 8 fresh samples, up to ten,
+    and an inconsistent one raises AmbiguityError.  Nothing is drawn when
+    every mask is 0.
+    """
+    n = h.n
+    rows = [0] * n
+    pending = [v for v in range(n) if cand[v]]
+    if not pending:
+        return rows
+    batch = collect_samples(h, k)
+    for round_idx in range(11):
+        if round_idx:
+            batch = collect_samples(h, 8, extend=batch)
+        still = []
+        for v in pending:
+            cols = f2.support(cand[v])
+            system = f2.transpose_words([batch.B[u] for u in cols], batch.k)
+            solution = f2.solve(system, len(cols), batch.Y[v])
+            if solution is None:
+                raise AmbiguityError(f"row {v}: inconsistent system")
+            particular, nullspace = solution
+            if nullspace:
+                still.append(v)
+                continue
+            rows[v] = sum(1 << cols[j] for j in f2.support(particular))
+        if not still:
+            return rows
+        pending = still
+    raise AmbiguityError(f"{len(pending)} rows stayed underdetermined after 10 top-ups")
+
+
+def learn_bounded_degree(
+    h: GraphOracle,
+    d: int,
+    m_hint: int | None = None,
+    slack: int = 7,
+) -> Graph | None:
+    """Learn a graph of max degree d from Bell samples, or None past the bound.
+
+    The rows come from ``_sparse_rows`` with the m-guess ``m_hint`` (all
+    n(n-1)/2 pairs by default), and the answer is audited against every
+    sample drawn.  With d above n/4 the sparse search loses its edge; every
+    row is solved exactly over all other vertices instead (``_solve_rows``,
+    n - 1 + ceil(log2 n) + slack samples).  Either way a row with no
+    weight-<=d explanation gives None rather than an error.
+    """
+    n = h.n
+    if d < 1:
+        raise ValueError("degree bound must be positive")
+    if d > n / 4:
+        every = (1 << n) - 1
+        k = n - 1 + math.ceil(math.log2(max(n, 2))) + slack
+        rows = _solve_rows(h, [every ^ 1 << v for v in range(n)], k)
+        return None if any(r.bit_count() > d for r in rows) else _assemble(rows)
+    m_guess = m_hint if m_hint is not None else n * (n - 1) // 2
+    rows, over, batch = _sparse_rows(h, d, m_guess, slack, parity=False)
+    return None if over else _audited(rows, batch)
 
 
 # -- subgraph of a known graph ---------------------------------------------------------
@@ -422,46 +451,15 @@ def learn_subgraph_of(
 
     Row v has unknowns only over v's neighbors in the supergraph, so
     d + ceil(log2 n) + slack samples make every per-vertex system uniquely
-    solvable with large margin.  The rare underdetermined system pulls a
-    top-up round of fresh samples, up to ten, rather than failing outright.
+    solvable with large margin (``_solve_rows``).
     """
     n = h.n
     if gprime.n != n:
         raise ValueError("supergraph width mismatch")
     if any(gprime.degree(v) > d for v in range(n)):
         raise ValueError("supergraph exceeds the claimed degree bound")
-    if not gprime.m:
-        return Graph(n, [])
-
     k = d + math.ceil(math.log2(max(n, 2))) + slack
-    batch = collect_samples(h, k)
-    rows = [0] * n
-    pending = list(range(n))
-    for round_idx in range(11):
-        if round_idx:
-            batch = collect_samples(h, 8, extend=batch)
-        still = []
-        for v in pending:
-            cand = gprime.neighbors(v)
-            if not cand:
-                continue
-            system = f2.transpose_words([batch.B[u] for u in cand], batch.k)
-            solution = f2.solve(system, len(cand), batch.Y[v])
-            if solution is None:
-                raise AmbiguityError(f"row {v}: inconsistent system")
-            particular, nullspace = solution
-            if nullspace:
-                still.append(v)
-                continue
-            rows[v] = sum(1 << cand[j] for j in f2.support(particular))
-        if not still:
-            break
-        pending = still
-    else:
-        raise AmbiguityError(
-            f"{len(pending)} rows stayed underdetermined after 10 top-ups"
-        )
-    return _assemble(rows)
+    return _assemble(_solve_rows(h, gprime.adj_bits, k))
 
 
 # -- bounded edge count ------------------------------------------------------------------
@@ -474,20 +472,20 @@ def learn_bounded_edges_parity(
 ) -> Graph:
     """Learn a graph promised to have at most m edges from parity queries.
 
-    Splits rows at d = ceil(sqrt(m / log2(m+2))): sparse rows come from the
-    bounded-degree pipeline with Bell samples realized as two parity queries
-    each, and every dense row is read exactly with one basis-vector query.
+    Splits rows at d = ceil(sqrt(m / log2(m+2))): sparse rows come from
+    ``_sparse_rows`` with each sample realized as two parity queries, and
+    every dense row is read exactly with one basis-vector query.  The answer
+    is audited against every sample drawn.
     """
     if m < 0:
         raise ValueError("edge bound must be nonnegative")
     d = max(1, math.ceil(math.sqrt(m / math.log2(m + 2))))
-    result = learn_bounded_degree(h, d, m_hint=max(m, 1), slack=slack, _parity=True)
-    rows = list(result.rows)
-    for v in sorted(result.over_degree):
+    rows, over, batch = _sparse_rows(h, d, max(m, 1), slack, parity=True)
+    for v in over:
         rows[v] = h.parity_vector_query(1 << v)
     # exact rows are complete, so a true claim is always reciprocated; an
     # unreciprocated one exposes a wrong sparse row
-    graph = _assemble(rows)
+    graph = _audited(rows, batch)
     if graph.m > m:
         raise ViolationError(f"{graph.m} edges exceed the promise {m}")
     return graph

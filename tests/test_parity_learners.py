@@ -7,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab import f2
+from gqlab import f2, harness
 from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
 from gqlab.graphs import FamilySpec, Graph, enumerate_all_graphs, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.parity_learners import (
-    BoundedDegreeResult,
+    _assemble,
     _decode_rows,
     _limbs,
     _lone_supports,
@@ -176,11 +176,10 @@ def test_bounded_degree_recovers_scattered_cycle():
     g = Graph(32, edges)
     for seed in range(5):
         h = make_oracle(g, seed=seed)
-        res = learn_bounded_degree(h, d=2, m_hint=8, phase2_k=18)
-        assert not res.over_degree
-        assert res.graph() == g
-        assert res.rows[4] == 1 << 1 | 1 << 7
-        assert res.rows[0] == 0
+        res = learn_bounded_degree(h, d=2, m_hint=8)
+        assert res == g
+        assert res.adj_bits[4] == 1 << 1 | 1 << 7
+        assert res.adj_bits[0] == 0
 
 
 @pytest.mark.parametrize("d", [1, 3, 4])
@@ -189,7 +188,7 @@ def test_bounded_degree_recovers_graph_at_its_bound(d):
     assert max(g.degree(v) for v in range(40)) == d
     for seed in range(3):
         res = learn_bounded_degree(make_oracle(g, seed=seed), d=d, m_hint=g.m)
-        assert res.graph() == g
+        assert res == g
 
 
 def test_bounded_degree_marks_planted_hub():
@@ -197,24 +196,17 @@ def test_bounded_degree_marks_planted_hub():
     g = Graph(16, edges)
     for seed in range(5):
         h = make_oracle(g, seed=seed)
-        res = learn_bounded_degree(h, d=2, m_hint=7)
-        assert res.over_degree == frozenset({0})
-        for leaf in range(1, 6):
-            assert res.rows[leaf] == 1 << 0
-        assert res.rows[6] == 1 << 7
-        assert res.rows[0] == 0
-        with pytest.raises(ViolationError):
-            res.graph()
+        # the hub's row has no weight-<=2 explanation, so there is no answer;
+        # test_bounded_edges_star_reads_hub_exactly covers reading it exactly
+        assert learn_bounded_degree(h, d=2, m_hint=7) is None
 
 
 def test_bounded_degree_empty_graph_stops_after_phase_one():
     ledger = QueryLedger()
     h = make_oracle(Graph(24, []), seed=0, ledger=ledger)
     res = learn_bounded_degree(h, d=3, m_hint=4, slack=5)
-    assert not res.over_degree
-    assert res.rows == (0,) * 24
+    assert res == Graph(24, [])
     # ceil(log2 4) + 5 = 7 samples and no second phase
-    assert res.samples_used == 7
     assert ledger.counts["graph_state_copy"] == 14
 
 
@@ -382,7 +374,7 @@ def test_row_decoder_certificate_reads_the_high_limbs(width):
 
 def test_assembly_refuses_unreturned_claims():
     rows = (0b010, 0b101, 0b010)
-    path = BoundedDegreeResult(3, 2, rows, frozenset(), 0).graph()
+    path = _assemble(rows)
     assert path == Graph(3, [(0, 1), (1, 2)])
     for bad in (
         (0b010, 0b101, 0b000),  # 1 claims 2, 2 does not claim 1
@@ -390,7 +382,7 @@ def test_assembly_refuses_unreturned_claims():
         (0b1010, 0b101, 0b010),  # 3 is outside the graph
     ):
         with pytest.raises(AmbiguityError):
-            BoundedDegreeResult(3, 2, bad, frozenset(), 0).graph()
+            _assemble(bad)
 
 
 def test_bounded_degree_enumeration_guard():
@@ -432,7 +424,7 @@ def test_bounded_degree_decodes_past_the_old_candidate_cap():
     assert sum(math.comb(nprime, l) for l in range(4)) > 10**7
     for seed in range(2):
         res = learn_bounded_degree(make_oracle(g, seed=seed), d=3, m_hint=g.m)
-        assert res.graph() == g
+        assert res == g
 
 
 def test_wide_degree_bound_falls_back_to_direct_readout():
@@ -441,15 +433,11 @@ def test_wide_degree_bound_falls_back_to_direct_readout():
     g = Graph(8, [(0, 1), (0, 2), (0, 3), (1, 2)])
     ledger = QueryLedger()
     h = make_oracle(g, seed=0, ledger=ledger)
-    res = learn_bounded_degree(h, d=3)
-    assert res.graph() == g
-    assert res.samples_used == 17
+    assert learn_bounded_degree(h, d=3) == g
     assert ledger.counts["graph_state_copy"] == 34
     assert ledger.counts["parity_query"] == 0
     hub = Graph(8, [(0, v) for v in range(1, 6)])
-    res = learn_bounded_degree(make_oracle(hub, seed=1), d=3)
-    assert res.over_degree == {0}
-    assert res.rows[1] == 1 << 0 and res.rows[7] == 0 and res.rows[0] == 0
+    assert learn_bounded_degree(make_oracle(hub, seed=1), d=3) is None
 
 
 def test_bounded_degree_rejects_bad_arguments():
@@ -521,6 +509,18 @@ def test_bounded_edges_star_reads_hub_exactly():
     # samples cost 2(l + k), the dense readout 2 more
     assert ledger.counts["parity_query"] == 90
     assert ledger.counts["graph_state_copy"] == 0
+
+
+def test_bounded_edges_refuses_an_answer_its_samples_contradict():
+    # sweep_bounded_edges_parity point 1 trial 2: vertices 32 and 53 both
+    # read 0 in phase 1, so the decoder never sees edge (32, 53); the graph
+    # without it is symmetric but contradicts the phase-2 samples
+    ss = np.random.SeedSequence(11510, spawn_key=(1, 2))
+    rng = np.random.Generator(np.random.Philox(ss))
+    h, g, _ = harness._instance("fixed_edge_count", {"n": 128, "m": 16}, rng, QueryLedger())
+    assert g.has_edge(32, 53)
+    with pytest.raises(AmbiguityError, match="contradicts"):
+        learn_bounded_edges_parity(h, m=16, slack=0)
 
 
 def test_bounded_edges_random_graph_within_budget():
