@@ -1,9 +1,14 @@
 """Group testing: adaptive search with classical and quantum cost models.
 
-The adaptive solver only needs a membership test on subsets of a universe of
+The adaptive search only needs a membership test on subsets of a universe of
 int item ids, each subset passed as an int mask with one bit per item.  It
-builds the universe's prefix ORs once and masks out found items, so a solve
-over N items with k positives costs O(N + k log N) mask operations.
+runs in two steps.  ``prepare`` turns the universe into its prefix ORs once,
+checking that the items are distinct; ``search`` then finds the positives of
+a prepared universe as often as a caller needs, ORing the caller's ``base``
+mask into every test, so one universe can be searched against many bases
+without being rebuilt.  A search over N items with k positives costs
+O(N + k log N) mask operations.  ``cgt_solve`` is prepare-then-search with
+an empty base.
 Quantum backends do not search: they read the positives from the caller's
 block form, which answers every single-item test of the universe at once,
 with ledger charging paused, then bill the amplified-search cost model to
@@ -25,45 +30,62 @@ from gqlab import f2
 from gqlab.errors import ViolationError
 from gqlab.oracles import QueryLedger
 
-__all__ = ["BACKENDS", "cgt_solve"]
+__all__ = ["BACKENDS", "cgt_solve", "prepare", "search"]
 
 BACKENDS = ("classical_adaptive", "quantum_ideal", "quantum_time_efficient")
 
 
-def _adaptive_search(universe: Sequence[int], test, k: int | None) -> frozenset:
-    """Binary-search the unfound items, in universe order, for one positive
-    at a time; a negative left half puts the positive in the right half.
+def prepare(universe: Sequence[int]) -> list[int]:
+    """The prefix ORs of the universe's item bits, in universe order: entry i
+    is the mask of the first i items, and the last entry masks them all.
 
-    The prefix ORs over the whole universe are built once.  ``pos`` holds
-    the universe indices of the unfound items plus an end sentinel, and
-    ``live`` is the mask of the unfound items, so the unfound items at
-    ranks lo..hi-1 are ``(prefix[pos[hi]] ^ prefix[pos[lo]]) & live``.  A
-    find drops one entry of ``pos`` and clears one bit of ``live``, so a
-    solve costs O(N + k log N) mask operations for N items and k finds.
+    Raises ValueError unless the items are distinct nonnegative ints.
     """
-    bits = [1 << operator.index(x) for x in universe]
-    prefix = list(accumulate(bits, operator.or_, initial=0))
-    live = prefix[-1]
-    if live.bit_count() != len(bits):
+    prefix = list(accumulate((1 << operator.index(x) for x in universe), operator.or_, initial=0))
+    if prefix[-1].bit_count() != len(prefix) - 1:
         raise ValueError("universe items must be distinct")
-    pos = list(range(len(bits) + 1))
-    found: list[int] = []
+    return prefix
+
+
+def search(
+    prefix: Sequence[int],
+    test: Callable[[int], object],
+    k: int | None = None,
+    base: int = 0,
+) -> int:
+    """The mask of the positive items of a prepared universe.
+
+    Every test is ``test(base | subset)``.  The unfound items are
+    binary-searched in universe order for one positive at a time; a negative
+    left half puts the positive in the right half.  ``pos`` holds the
+    universe indices of the unfound items plus an end sentinel, and ``live``
+    is the mask of the unfound items, so the unfound items at ranks lo..hi-1
+    are ``(prefix[pos[hi]] ^ prefix[pos[lo]]) & live``, and the item at index
+    i is ``prefix[i + 1] ^ prefix[i]``.  A find drops one entry of ``pos``
+    and clears one bit of ``live``.  With ``k`` given, a positive beyond the
+    k-th raises ViolationError.
+    """
+    live = prefix[-1]
+    pos = list(range(len(prefix)))
+    found = count = 0
     while live:
-        if not test(live):
-            return frozenset(found)
-        if k is not None and len(found) == k:
+        if not test(base | live):
+            return found
+        if count == k:
             raise ViolationError(f"more than {k} positives present")
         lo, hi = 0, len(pos) - 1
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if test((prefix[pos[mid]] ^ prefix[pos[lo]]) & live):
+            if test(base | ((prefix[pos[mid]] ^ prefix[pos[lo]]) & live)):
                 hi = mid
             else:
                 lo = mid
-        bit = bits[pos.pop(lo)]
+        i = pos.pop(lo)
+        bit = prefix[i + 1] ^ prefix[i]
         live ^= bit
-        found.append(bit.bit_length() - 1)
-    return frozenset(found)
+        found |= bit
+        count += 1
+    return found
 
 
 def _quantum_rounds(count: int, time_efficient: bool) -> int:
@@ -110,7 +132,7 @@ def cgt_solve(
     if k is not None and k < 0:
         raise ValueError("k must be nonnegative")
     if backend == "classical_adaptive":
-        return _adaptive_search(universe, test, k)
+        return frozenset(f2.support(search(prepare(universe), test, k)))
     if ledger is None or block is None:
         raise ValueError("quantum backends need the block form and its ledger")
     items = sum(1 << operator.index(x) for x in universe)

@@ -2,12 +2,19 @@
 
 The general learner peels the vertex set into independent parts, then merges
 parts pairwise up a tree.  The edges found so far are kept as one row word
-per vertex; cross edges between two merged blocks are learned class-pair by
+per vertex.  Cross edges between two merged blocks are learned class-pair by
 class-pair after greedy-coloring each block's subgraph in those rows, which
-is fully known and so keeps every queried side independent.  Specialists for
-promised cliques and stars ride Fourier samples of the OR function to beat
-the classical query counts.  Every learner here answers with the ``Graph``
-it recovered.
+is fully known and so keeps every queried side independent.  Each color
+class is prepared for group testing once (its vertices in class order and
+their prefix ORs), and every class pair runs through one core: one query on
+the pair's union, the active vertices of one class searched with the other
+class as the base, then each active vertex's neighbors searched in the
+other class.  Classical searches test with ``GraphOracle.or_query`` itself;
+quantum backends answer through ``cgt_solve``.  ``learn_bipartite_edges``
+and ``find_nonisolated`` prepare their sides and run the same core.
+Specialists for promised cliques and stars ride Fourier samples of the OR
+function to beat the classical query counts.  Every learner here answers
+with the ``Graph`` it recovered.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ import math
 from typing import Sequence
 
 from gqlab import f2
-from gqlab.cgt import cgt_solve
+from gqlab.cgt import cgt_solve, prepare, search
 from gqlab.errors import RetryBudgetError, ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
@@ -58,6 +65,59 @@ def _search_with(
     )
 
 
+_Side = tuple[list[int], list[int]]
+
+
+def _prepared(verts: list[int]) -> _Side:
+    """A side ready to search: its vertices in the given order, which sets
+    the binary search, and their prefix ORs, whose last entry masks them
+    all."""
+    return verts, prepare(verts)
+
+
+def _find(oracle: GraphOracle, side: _Side, base: int, backend: str) -> int:
+    """The mask of the vertices x of a prepared side for which base | 1 << x
+    induces an edge; classical searches test with the OR query itself."""
+    if backend == "classical_adaptive":
+        return search(side[1], oracle.or_query, base=base)
+    return f2.from_support(_search_with(oracle, side[0], base, backend=backend), oracle.n)
+
+
+def _actives(oracle: GraphOracle, side: _Side, other: int, backend: str) -> int:
+    """The mask of the vertices of a prepared side with a neighbor in the
+    mask ``other``; a whole side coming back active is rechecked."""
+    found = _find(oracle, side, other, backend)
+    mask = side[1][-1]
+    if found == mask:
+        if oracle.or_query(other) or oracle.or_query(mask):
+            raise ViolationError("a queried side is not an independent set")
+    return found
+
+
+def _cross_pair(
+    oracle: GraphOracle, a_side: _Side, b_side: _Side, backend: str
+) -> list[tuple[int, int]]:
+    """(a, mask of a's neighbors in b_side) for every active a of a_side, in
+    increasing order, between two prepared independent sides."""
+    b_mask = b_side[1][-1]
+    if not oracle.or_query(a_side[1][-1] | b_mask):
+        return []
+    actives = _actives(oracle, a_side, b_mask, backend)
+    out = []
+    while actives:
+        low = actives & -actives
+        hits = _find(oracle, b_side, low, backend)
+        if not hits:
+            raise ViolationError("active vertex lost its neighbors; sides not independent?")
+        out.append((low.bit_length() - 1, hits))
+        actives ^= low
+    return out
+
+
+def _edges(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    return [(a, b) if a < b else (b, a) for a, hits in pairs for b in f2.support(hits)]
+
+
 def find_nonisolated(
     oracle: GraphOracle,
     side: Sequence[int],
@@ -75,11 +135,7 @@ def find_nonisolated(
     other_mask = f2.from_support(other, oracle.n)
     if not side or not other_mask:
         return frozenset()
-    found = _search_with(oracle, side, other_mask, backend=backend)
-    if len(found) == len(side):
-        if oracle.or_query(other_mask) or oracle.or_query(side):
-            raise ViolationError("a queried side is not an independent set")
-    return found
+    return frozenset(f2.support(_actives(oracle, _prepared(side), other_mask, backend)))
 
 
 def learn_bipartite_edges(
@@ -98,48 +154,65 @@ def learn_bipartite_edges(
     b_side = list(b_side)
     if not a_side or not b_side:
         return []
-    if oracle.or_query(a_side + b_side) == 0:
-        return []
-    actives = find_nonisolated(oracle, a_side, b_side, backend=backend)
-    edges = []
-    for a in sorted(actives):
-        hits = _search_with(oracle, b_side, 1 << a, backend=backend)
-        if not hits:
-            raise ViolationError("active vertex lost its neighbors; sides not independent?")
-        edges.extend((_norm(a, b)) for b in sorted(hits))
-    return edges
-
-
-def _norm(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
+    return _edges(_cross_pair(oracle, _prepared(a_side), _prepared(b_side), backend))
 
 
 def greedy_coloring(vertices: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
     """Proper coloring of the subgraph that the row words induce on
     ``vertices``, greedy in reverse degeneracy order; a graph with t edges
-    never needs more than floor(sqrt(2t)) + 1 classes."""
+    never needs more than floor(sqrt(2t)) + 1 classes.
+
+    The degeneracy order peels the minimum (degree, id) vertex each step;
+    each vertex then takes the lowest color no neighbor holds yet.  Classes
+    list their vertices in ``vertices`` order.
+    """
     verts = list(vertices)
-    block = sum(1 << v for v in verts)
-    adj = {v: f2.support(rows[v] & block) for v in verts}
-    # peel minimum-degree vertices to get a degeneracy order
-    degrees = {v: len(adj[v]) for v in verts}
-    live = set(verts)
+    block = 0
+    for v in verts:
+        block |= 1 << v
+    # bucket d masks the unpeeled vertices with d unpeeled neighbors, so the
+    # next to peel is the lowest bit of the lowest nonempty bucket
+    buckets = [0] * len(verts)
+    for v in verts:
+        buckets[(rows[v] & block).bit_count()] |= 1 << v
     order = []
+    live = block
+    d = 0
     while live:
-        v = min(live, key=lambda x: (degrees[x], x))
+        while not buckets[d]:
+            d += 1
+        low = buckets[d] & -buckets[d]
+        buckets[d] ^= low
+        live ^= low
+        v = low.bit_length() - 1
         order.append(v)
-        live.remove(v)
-        for u in adj[v]:
-            if u in live:
-                degrees[u] -= 1
+        # every unpeeled neighbor drops one bucket; going up, none drops twice
+        nb = rows[v] & live
+        e = d
+        while nb:
+            moved = buckets[e] & nb
+            if moved:
+                buckets[e] ^= moved
+                buckets[e - 1] |= moved
+                nb ^= moved
+            e += 1
+        if d:
+            d -= 1
+    # class_masks[c] masks the vertices colored c so far
     color: dict[int, int] = {}
+    class_masks: list[int] = []
     for v in reversed(order):
-        used = {color[u] for u in adj[v] if u in color}
+        nb = rows[v]
         c = 0
-        while c in used:
+        for members in class_masks:
+            if not members & nb:
+                break
             c += 1
+        else:
+            class_masks.append(0)
+        class_masks[c] |= 1 << v
         color[v] = c
-    classes: list[list[int]] = [[] for _ in range(max(color.values(), default=-1) + 1)]
+    classes: list[list[int]] = [[] for _ in class_masks]
     for v in verts:
         classes[color[v]].append(v)
     return classes
@@ -155,18 +228,19 @@ def learn_cross_edges_colored(
     """All edges between two blocks whose internal edges are already known.
 
     Each block is colored by its subgraph in ``rows``, one word per vertex,
-    so every queried class is a genuine independent set.  Returns the cross
-    edges; ``rows`` is left as it is.
+    so every queried class is a genuine independent set.  Each class is
+    prepared once and searched against every class of the other block.
+    Returns the cross edges; ``rows`` is left as it is.
     """
     if not x_side or not y_side:
         return []
-    x_classes = greedy_coloring(x_side, rows)
-    y_classes = greedy_coloring(y_side, rows)
-    edges = []
+    x_classes = [_prepared(c) for c in greedy_coloring(x_side, rows)]
+    y_classes = [_prepared(c) for c in greedy_coloring(y_side, rows)]
+    pairs = []
     for xc in x_classes:
         for yc in y_classes:
-            edges.extend(learn_bipartite_edges(oracle, xc, yc, backend=backend))
-    return edges
+            pairs += _cross_pair(oracle, xc, yc, backend)
+    return _edges(pairs)
 
 
 def learn_merge_tree(
@@ -214,8 +288,8 @@ def peel_independent_sets(
     parts: list[list[int]] = []
     consecutive = 0
     while remaining:
-        picks = oracle.rng.random(len(remaining)) < p
-        subset = [v for v, hit in zip(remaining, picks) if hit]
+        picks = (oracle.rng.random(len(remaining)) < p).nonzero()[0]
+        subset = [remaining[i] for i in picks.tolist()]
         if not subset:
             continue
         if len(subset) == 1 or oracle.or_query(subset) == 0:

@@ -103,7 +103,14 @@ class GraphOracle:
         elif subset < 0 or subset >> self.n:
             raise ValueError("mask has bits outside the vertex range")
         self.ledger.charge("or_query")
-        return self._induces_edge(subset)
+        adj = self._graph.adj_bits
+        m = live = subset & self._touched
+        while m:
+            v = (m & -m).bit_length() - 1
+            if adj[v] & live:
+                return 1
+            m &= m - 1
+        return 0
 
     def or_block_query(self, base: int, items: int) -> int:
         """The mask of the items x for which base | 1 << x induces an edge,
@@ -264,16 +271,6 @@ class GraphOracle:
     def peek_graph(self) -> Graph:
         self.ledger.charge("reveal_used")
         return self._graph
-
-    def _induces_edge(self, mask: int) -> int:
-        adj = self._graph.adj_bits
-        m = live = mask & self._touched
-        while m:
-            v = (m & -m).bit_length() - 1
-            if adj[v] & live:
-                return 1
-            m &= m - 1
-        return 0
 
     def _induced_parity(self, mask: int) -> int:
         m = live = mask & self._touched

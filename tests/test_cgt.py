@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab.cgt import cgt_solve
+from gqlab import f2
+from gqlab.cgt import cgt_solve, prepare, search
 from gqlab.errors import ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle, QueryLedger
@@ -166,12 +167,14 @@ def test_cgt_mask_queries_match_list_reference(data):
 
 def test_cgt_mask_queries_match_list_reference_at_scale():
     # wide universes, every positive count from none to all, and promises
-    # that are absent, exact or one short; logs compare masks query by query
+    # that are absent, exact or one short; logs compare masks query by query.
+    # The prepared search is checked against cgt_solve under a random base.
     rules = {
         "member": lambda mask, hidden: mask & hidden != 0,
         "pair": lambda mask, hidden: (mask & hidden).bit_count() >= 2,
     }
     rng = np.random.default_rng(1311)
+    base_rng = np.random.default_rng(1312)
     for size in (1, 64, 257, 299):
         ids = [int(v) for v in rng.choice(1001, size=size, replace=False)]
         for universe in (sorted(ids), ids):
@@ -195,6 +198,22 @@ def test_cgt_mask_queries_match_list_reference_at_scale():
                         )
                         got = _outcome(lambda: cgt_solve(universe, new_test, k=k), new_log)
                         assert got == expected, (size, count, k, name)
+
+                        # the prepared search under a base outside the
+                        # universe asks the same masks with the base ORed in
+                        prepared = prepare(universe)
+                        base = int.from_bytes(base_rng.bytes(140), "little") & ~prepared[-1]
+                        based_log = []
+
+                        def based_test(mask):
+                            based_log.append(mask)
+                            return rule(mask & ~base, hidden)
+
+                        based = _outcome(
+                            lambda: frozenset(f2.support(search(prepared, based_test, k, base))),
+                            based_log,
+                        )
+                        assert based == (got[0], got[1], [m | base for m in new_log])
 
 
 def test_known_k_violation_detected():

@@ -1,5 +1,6 @@
 """Edge-existence learners checked exhaustively on small graphs."""
 
+import hashlib
 import itertools
 import math
 
@@ -8,8 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gqlab import f2
 from gqlab.errors import RetryBudgetError, ViolationError
-from gqlab.graphs import Graph
+from gqlab.graphs import FamilySpec, Graph, adversary_instance, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.or_learners import (
     find_nonisolated,
@@ -100,6 +102,55 @@ def test_greedy_coloring_proper_and_bounded(n, seed):
     assert len(classes) <= math.isqrt(2 * len(edges)) + 1
 
 
+def _reference_greedy_coloring(vertices, rows):
+    # the set-based coloring the bucket version must reproduce class for class
+    verts = list(vertices)
+    block = sum(1 << v for v in verts)
+    adj = {v: f2.support(rows[v] & block) for v in verts}
+    degrees = {v: len(adj[v]) for v in verts}
+    live = set(verts)
+    order = []
+    while live:
+        v = min(live, key=lambda x: (degrees[x], x))
+        order.append(v)
+        live.remove(v)
+        for u in adj[v]:
+            if u in live:
+                degrees[u] -= 1
+    color = {}
+    for v in reversed(order):
+        used = {color[u] for u in adj[v] if u in color}
+        c = 0
+        while c in used:
+            c += 1
+        color[v] = c
+    classes = [[] for _ in range(max(color.values(), default=-1) + 1)]
+    for v in verts:
+        classes[color[v]].append(v)
+    return classes
+
+
+def test_greedy_coloring_matches_reference_class_for_class():
+    # class order and order within a class set the searched universes, so
+    # the ledger: random orders, dense degree ties, rows reaching outside
+    # the colored vertices, and two-clique blocks with known cross edges
+    rng = np.random.default_rng(2203)
+    for trial in range(600):
+        n = int(rng.integers(1, 41))
+        if trial % 3 == 2 and n >= 2:
+            half = n // 2
+            cross = f2.random_matrix(half, half, rng)
+            rows = list(adversary_instance(half, cross).adj_bits) + [0] * (n - 2 * half)
+        else:
+            pairs = all_pairs(range(n))
+            density = rng.choice([0.05, 0.2, 0.5, 0.9])
+            edges = [pair for pair in pairs if rng.random() < density]
+            rows = list(Graph(n, edges).adj_bits)
+        order = rng.permutation(n).tolist()
+        vertices = order[: int(rng.integers(0, n + 1))] if trial % 2 else order
+        assert greedy_coloring(vertices, rows) == _reference_greedy_coloring(vertices, rows)
+
+
 # -- peeling -----------------------------------------------------------------------
 
 def test_peeling_partitions_into_independent_parts():
@@ -162,6 +213,65 @@ def test_learn_graph_or_deterministic_per_seed():
         assert learn_graph_or(oracle, m_hint=5) == g
         runs.append(oracle.ledger.counts)
     assert runs[0] == runs[1]
+
+
+class _QueryLog(GraphOracle):
+    """A graph oracle that logs every OR query mask and block query in call
+    order."""
+
+    def __init__(self, graph, rng):
+        super().__init__(graph, rng)
+        self.log = []
+
+    def or_query(self, subset):
+        mask = subset if isinstance(subset, int) else f2.from_support(subset, self.n)
+        self.log.append(f"{mask:x}")
+        return super().or_query(subset)
+
+    def or_block_query(self, base, items):
+        self.log.append(f"{base:x}|{items:x}")
+        return super().or_block_query(base, items)
+
+
+# (family, seed) -> backend -> (queries logged, sha256 of the log)
+_QUERY_LOGS = {
+    (FamilySpec("two_clique_adversary", 8, k=4), 41): {
+        "classical_adaptive": (
+            106, "63d1887c2648c2f4809e4e64ca0ca2439f5c087b102ad724a252f20a19e4e43f"),
+        "quantum_ideal": (
+            88, "f9b3ce97ae3d1e8729727c1bb590c6b92ba3bbd697928d6640d47c8a986b6c3f"),
+    },
+    (FamilySpec("two_clique_adversary", 16, k=8), 42): {
+        "classical_adaptive": (
+            374, "eedcd73e8e4e6b5ddebd480f6f7e91aa29cfa323e9077b830f63f013bcf1cabb"),
+        "quantum_ideal": (
+            236, "d894aa266fdb2006d6bcd8e2b4c61da6b662b1b07e35bd809bcd5b7cf38bd96c"),
+    },
+    (FamilySpec("fixed_edge_count", 24, m=30), 43): {
+        "classical_adaptive": (
+            244, "3cd887ba0bbb18b4f3e81653254401d3f816431d26dbb4b864a5789aab95a31f"),
+        "quantum_ideal": (
+            74, "1d46945e6c412642cef014c0e32727c790397a90cff57f34704b033b81826b58"),
+    },
+    (FamilySpec("matching", 20, m=6), 44): {
+        "classical_adaptive": (
+            67, "19ba3260c0093a749136cb69b8cb9e210a1cdd2ebde1e3e55f1cc9cba084c880"),
+        "quantum_ideal": (
+            35, "180b18ca2db4ca183533f33e0b7d25dc78c09949c618f00e38730d9ab72e3499"),
+    },
+}
+
+
+@pytest.mark.parametrize("backend", ["classical_adaptive", "quantum_ideal"])
+def test_learn_graph_or_query_sequence_pinned(backend):
+    # every OR query mask and block query, in call order, as recorded from
+    # the set-based learner these faster paths replace
+    for (spec, seed), expected in _QUERY_LOGS.items():
+        graph = generate(spec, np.random.default_rng(seed))
+        oracle = _QueryLog(graph, np.random.default_rng(seed + 100))
+        assert learn_graph_or(oracle, m_hint=graph.m, backend=backend) == graph
+        digest = hashlib.sha256(" ".join(oracle.log).encode()).hexdigest()
+        assert (len(oracle.log), digest) == expected[backend], spec
 
 
 # -- clique -------------------------------------------------------------------------
