@@ -16,9 +16,12 @@ Printed: per round, each tree's pass time; then each tree's median
 ``trials_per_s``, ``trial_ms_p50`` and ``trial_ms_tail`` over the rounds
 (defined as in ``perfbench/run.py``) with the rounds each tree won; then per
 grid point, each tree's median and minimum time summed over the point's
-trials and the sorted per-round ratios NEW / OLD.  Passes in one process see
-the same host state within a round, which a pair of separate benchmark runs
-does not.
+trials and the sorted per-round ratios NEW / OLD; then per grid point, each
+tree's median ms per trial (the median over rounds of the point's median
+trial); then on each side the points that set ``trial_ms_p50``, each with
+the number of rounds in which its median trial was the middle one.  Passes
+in one process see the same host state within a round, which a pair of
+separate benchmark runs does not.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ import pkgutil
 import statistics
 import sys
 import time
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -108,6 +112,27 @@ def end_to_end(result: dict) -> dict:
     }
 
 
+def point_medians(passes: list[dict]) -> dict[str, float]:
+    """Each grid point's median trial ms, as the median over passes."""
+    return {
+        label: statistics.median(statistics.median(p["points"][label]) for p in passes)
+        for label in passes[0]["points"]
+    }
+
+
+def p50_points(passes: list[dict]) -> Counter:
+    """How many passes each point set ``trial_ms_p50`` in: the point, or the
+    two points, whose median trial ms is the median of that pass's point
+    medians."""
+    counts: Counter = Counter()
+    for p in passes:
+        medians = {label: statistics.median(ms) for label, ms in p["points"].items()}
+        ranked = sorted(medians, key=medians.get)
+        mid = (len(ranked) - 1) // 2
+        counts.update(ranked[mid:len(ranked) - mid])
+    return counts
+
+
 HIGHER_IS_BETTER = {"trials_per_s": True, "trial_ms_p50": False, "trial_ms_tail": False}
 
 
@@ -157,6 +182,17 @@ def main(argv=None) -> int:
         print(f"{label:<42} old {statistics.median(old):8.1f} ({min(old):7.1f})"
               f"  new {statistics.median(new):8.1f} ({min(new):7.1f})"
               f"  {' '.join(f'{x:.2f}' for x in ratios)}")
+
+    medians = {side: point_medians(results[side]) for side in results}
+    print("\nper grid point: median ms per trial, the median over rounds of the "
+          "point's median trial")
+    for label in medians["old"]:
+        o, n = medians["old"][label], medians["new"][label]
+        print(f"{label:<42} old {o:8.3f}  new {n:8.3f}  new/old {n / o:5.2f}")
+    for side in results:
+        counts = p50_points(results[side]).most_common()
+        print(f"trial_ms_p50 point, {side}: "
+              + ", ".join(f"{label} in {c} of {args.rounds} rounds" for label, c in counts))
     return 0
 
 

@@ -9,10 +9,11 @@ mask into every test, so one universe can be searched against many bases
 without being rebuilt.  A search over N items with k positives costs
 O(N + k log N) mask operations.  ``cgt_solve`` is prepare-then-search with
 an empty base.
-Quantum backends do not search: they read the positives from the caller's
-block form, which answers every single-item test of the universe at once,
-with ledger charging paused, then bill the amplified-search cost model to
-the quantum counter: ceil(sqrt(k)) rounds for k promised positives (times
+Quantum backends do not search.  ``quantum_search`` takes the universe as
+one mask and reads its positives, as a mask, from the caller's block form,
+which answers every single-item test of the universe at once, with ledger
+charging paused, then bills the amplified-search cost model to the quantum
+counter: ceil(sqrt(k)) rounds for k promised positives (times
 log2(k+1) log2(log2(k+3)) on the time-efficient backend), or the sum of
 that charge over guess-and-double stages when k is not promised.  The
 block's charges, one test per universe item, stay visible in the ledger's
@@ -30,7 +31,7 @@ from gqlab import f2
 from gqlab.errors import ViolationError
 from gqlab.oracles import QueryLedger
 
-__all__ = ["BACKENDS", "cgt_solve", "prepare", "search"]
+__all__ = ["BACKENDS", "cgt_solve", "prepare", "quantum_search", "search"]
 
 BACKENDS = ("classical_adaptive", "quantum_ideal", "quantum_time_efficient")
 
@@ -105,6 +106,37 @@ def _doubling_charge(found: int, time_efficient: bool) -> int:
     )
 
 
+def quantum_search(
+    universe: int,
+    block: Callable[[int], int],
+    ledger: QueryLedger,
+    k: int | None,
+    backend: str,
+) -> int:
+    """The mask of the positive items of the mask ``universe``, read from one
+    ``block(universe)`` call with ``ledger`` paused, billing the quantum
+    cost model of ``backend``.
+
+    ``block(items)`` returns the mask of the positive items among ``items``,
+    charging one test per item.  With ``k`` given, any other positive count
+    raises ViolationError.  A ``backend`` other than the two quantum entries
+    of ``BACKENDS`` raises ValueError.
+    """
+    if backend not in BACKENDS[1:]:
+        raise ValueError(f"unknown quantum backend {backend!r}")
+    time_efficient = backend == "quantum_time_efficient"
+    with ledger.paused():
+        found = block(universe)
+    count = found.bit_count()
+    if k is not None:
+        if count != k:
+            raise ViolationError(f"promised {k} positives, found {count}")
+        ledger.charge("charged_quantum", _quantum_rounds(k, time_efficient))
+    else:
+        ledger.charge("charged_quantum", _doubling_charge(count, time_efficient))
+    return found
+
+
 def cgt_solve(
     universe: Sequence[int],
     test: Callable[[int], bool],
@@ -122,10 +154,8 @@ def cgt_solve(
     verifies and raises if the promise is broken.  Quantum backends require
     ``block`` and the ledger it charges into: ``block(items)`` returns the
     mask of the items x whose single-item test ``test(1 << x)`` is positive,
-    charging one test per item.  They take the answer from one ``block``
-    call over the whole universe, which the paused ledger tallies in
-    ``suppressed``, and bill only the quantum cost model; ``test`` is never
-    called.
+    charging one test per item.  They answer through ``quantum_search`` on
+    the universe's mask; ``test`` is never called.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
@@ -138,17 +168,4 @@ def cgt_solve(
     items = sum(1 << operator.index(x) for x in universe)
     if items.bit_count() != len(universe):
         raise ValueError("universe items must be distinct")
-    time_efficient = backend == "quantum_time_efficient"
-    with ledger.paused():
-        positives = block(items)
-    found = frozenset(f2.support(positives))
-    if k is not None:
-        if len(found) != k:
-            raise ViolationError(f"promised {k} positives, found {len(found)}")
-        ledger.charge("charged_quantum", _quantum_rounds(k, time_efficient))
-    else:
-        ledger.charge(
-            "charged_quantum", _doubling_charge(len(found), time_efficient)
-        )
-    return found
-
+    return frozenset(f2.support(quantum_search(items, block, ledger, k, backend)))

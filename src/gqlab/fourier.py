@@ -10,6 +10,7 @@ translation is coeff_pm1(s) = -2 * coeff_01(s) for s != 0.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -129,8 +130,13 @@ def maj_coefficient(k: int, subset_size: int) -> float:
     return (-1) ** ((l - 1) // 2) * value
 
 
+# typed, so a float k never hits an int k's entry and still fails as uncached
+@functools.lru_cache(maxsize=256, typed=True)
 def maj_level_weights(k: int) -> np.ndarray:
-    """Level weights of (-1)^MAJ_k from the closed form; no 2^k enumeration."""
+    """Level weights of (-1)^MAJ_k from the closed form; no 2^k enumeration.
+
+    Cached per k and shared, so the array is read-only.
+    """
     if k % 2 == 0 or k < 1:
         raise ValueError("majority needs odd arity")
     weights = np.zeros(k + 1)
@@ -139,6 +145,7 @@ def maj_level_weights(k: int) -> np.ndarray:
         top = math.comb((k - 1) // 2, (l - 1) // 2) * math.comb(k - 1, (k - 1) // 2)
         coeff = top / math.comb(k - 1, l - 1)
         weights[l] = math.comb(k, l) * (coeff * coeff) * 4.0 ** (1 - k)
+    weights.flags.writeable = False
     return weights
 
 

@@ -287,7 +287,7 @@ def _instance(family: str, point: dict, rng, ledger: QueryLedger):
         return (test, block), hidden, ledger
     if family == "majority_junta":
         k = point["k"]
-        support = sorted(int(v) for v in rng.choice(n, size=k, replace=False))
+        support = sorted(rng.choice(n, size=k, replace=False).tolist())
         oracle = JuntaOracle(
             n, support, rng, level_weights=maj_level_weights(k), ledger=ledger
         )

@@ -7,10 +7,11 @@ tests; they bump a dedicated counter so an audit can prove no learner cheated.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 from contextlib import contextmanager
-from functools import cached_property, reduce
+from functools import cached_property, lru_cache, reduce
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -282,6 +283,29 @@ class GraphOracle:
         return (total // 2) & 1
 
 
+@lru_cache(maxsize=128)
+def _level_law(weights: bytes, l: int) -> tuple[list[int], list[float], float, int]:
+    """The amplified sampler's law at level >= l, shared by every oracle
+    whose level weights pack to the float64 bytes ``weights``.
+
+    With W the weight at level >= l: the levels >= l that carry weight, the
+    CDF of their weights over W, the hit threshold max(W, 1 - W) and the
+    charge ceil(1/sqrt(W)) per hit.  The CDF is the one that
+    ``rng.choice(levels, p=...)`` builds on every call; ``bisect_right`` on
+    one ``rng.random()`` makes the comparisons of ``searchsorted(..., "right")``
+    and draws the same level from the same stream.
+    """
+    tail = np.frombuffer(weights)[l:]
+    total = float(tail.sum())
+    if total <= 0:
+        raise ValueError("no Fourier mass at or above this level")
+    keep = tail > 0
+    cdf = (tail[keep] / total).cumsum()
+    cdf /= cdf[-1]
+    levels = np.arange(l, l + len(tail))[keep].tolist()
+    return levels, cdf.tolist(), max(total, 1.0 - total), math.ceil(1.0 / math.sqrt(total))
+
+
 class JuntaOracle:
     """Query access to f(x) = g(x restricted to a hidden variable set).
 
@@ -314,21 +338,24 @@ class JuntaOracle:
         self._table = None
         self._dist_cum = None
         self._weight_eval = weight_eval
-        self._amplified_cache: dict[int, tuple[list[int], np.ndarray, float]] = {}
         if g_table is not None:
             ft = fourier_table(g_table, self.k)
             self._table = np.asarray(g_table, dtype=np.int8)
             dist = ft.sampling_distribution()
             self._dist_cum = np.cumsum(dist)
-            self.level_weights = ft.level_weights()
+            weights = ft.level_weights()
             self._symmetric = self._check_symmetric(self._table, self.k)
         elif level_weights is not None:
-            self.level_weights = np.asarray(level_weights, dtype=np.float64)
-            if len(self.level_weights) != self.k + 1:
+            # a copy: a later write into the caller's array must not move this law
+            weights = np.array(level_weights, dtype=np.float64)
+            if len(weights) != self.k + 1:
                 raise ValueError("need one weight per level 0..k")
             self._symmetric = True
         else:
             raise ValueError("pass g_table or level_weights")
+        weights.flags.writeable = False
+        self.level_weights = weights
+        self._law_key = weights.tobytes()
 
     @staticmethod
     def _check_symmetric(table: np.ndarray, k: int) -> bool:
@@ -384,24 +411,11 @@ class JuntaOracle:
             raise ValueError("amplified level sampling needs symmetric g")
         if not 1 <= l <= self.k:
             raise ValueError("level out of range")
-        if l not in self._amplified_cache:
-            tail = self.level_weights[l:]
-            total = float(tail.sum())
-            if total <= 0:
-                raise ValueError("no Fourier mass at or above this level")
-            levels = np.arange(l, self.k + 1)
-            keep = tail > 0
-            # the CDF rng.choice(levels[keep], p=tail[keep] / total) builds on
-            # every call; searching it with one rng.random() draws the same
-            # level from the same stream
-            cdf = (tail[keep] / total).cumsum()
-            cdf /= cdf[-1]
-            self._amplified_cache[l] = (levels[keep].tolist(), cdf, total)
-        levels, cdf, total = self._amplified_cache[l]
-        if self.rng.random() >= max(total, 1.0 - total):
+        levels, cdf, hit, charge = _level_law(self._law_key, l)
+        if self.rng.random() >= hit:
             return None
-        self.ledger.charge("charged_quantum", math.ceil(1.0 / math.sqrt(total)))
-        size = levels[cdf.searchsorted(self.rng.random(), "right")]
+        self.ledger.charge("charged_quantum", charge)
+        size = levels[bisect.bisect_right(cdf, self.rng.random())]
         picks = self.rng.choice(self.k, size=size, replace=False)
         return frozenset(self._support_array[picks].tolist())
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqlab import f2
-from gqlab.cgt import cgt_solve, prepare, search
+from gqlab.cgt import cgt_solve, prepare, quantum_search, search
 from gqlab.errors import ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle, QueryLedger
@@ -238,7 +238,11 @@ def test_argument_validation():
             [1, 1], test, backend="quantum_ideal", ledger=ledger,
             block=make_block(set(), ledger),
         )
+    for backend in ("grover", "classical_adaptive"):
+        with pytest.raises(ValueError):
+            quantum_search(0b10, make_block(set(), ledger), ledger, None, backend)
     assert ledger.suppressed["or_query"] == 0
+    assert ledger.counts["charged_quantum"] == 0
 
 
 # -- quantum cost models ----------------------------------------------------------

@@ -112,6 +112,21 @@ def test_maj_level_weights_match_table(k):
     assert closed.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_maj_level_weights_cached_read_only():
+    # one shared array per k, equal to the closed form computed afresh
+    for k in range(1, 130, 2):
+        weights = maj_level_weights(k)
+        closed = np.zeros(k + 1)
+        for l in range(1, k + 1, 2):
+            top = math.comb((k - 1) // 2, (l - 1) // 2) * math.comb(k - 1, (k - 1) // 2)
+            coeff = top / math.comb(k - 1, l - 1)
+            closed[l] = math.comb(k, l) * (coeff * coeff) * 4.0 ** (1 - k)
+        np.testing.assert_array_equal(weights, closed)
+        assert maj_level_weights(k) is weights
+        with pytest.raises(ValueError):
+            weights[0] = 1.0
+
+
 def test_maj_top_half_weight_scaling():
     # mass at level >= (k+1)/2 decays like 1/sqrt(k); frozen spot values
     spot = {5: 0.296875, 9: 0.198914, 13: 0.158018}

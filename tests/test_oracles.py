@@ -1,5 +1,6 @@
 """Oracle layer checked against direct counting and the dense simulators."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -513,16 +514,34 @@ def _amplified_draw_via_choice(weights, l, support, rng):
     return frozenset(support[int(j)] for j in picks)
 
 
+# weights id -> (sha256 of the draws at every level, charged_quantum per
+# level), recorded from the per-oracle sampler the shared level law replaces
+_AMPLIFIED_PINS = {
+    "maj9": ("15e0d1be8abb482406416fd726d705881cd91b429698726231236264d18a907a",
+             (2000, 2668, 4827, 7412)),
+    "maj33": ("13dde40e2209bbc844ca8241452f2603125df2287631b212eb1acd0bde26757b",
+              (2000, 2556, 7244, 15616)),
+    "maj65": ("a7d4e90e88c47b1d3e90c5d4517554e2f3dd778b8e2c39669bb0f0d9ea8bcafb",
+              (2000, 2590, 7504, 21769)),
+    "half8": ("482a5f01dfd3ef648b08a16be1479edef2d8f3ef307e554586f634ee69e06d98",
+              (3144, 3208, 2466, 2844)),
+    "half16": ("0bb00d64f278545fcf183fac83feda295a2a4b87604ce1fa5f5812837322d71a",
+               (2438, 2454, 2306, 5166)),
+}
+
+
 @pytest.mark.parametrize(
-    "weights",
-    [maj_level_weights(k) for k in (9, 33, 65)]
-    + [exact_half_level_weights_pm1(k) for k in (8, 16)],
-    ids=["maj9", "maj33", "maj65", "half8", "half16"],
+    "weights, pin",
+    [(maj_level_weights(k), _AMPLIFIED_PINS[f"maj{k}"]) for k in (9, 33, 65)]
+    + [(exact_half_level_weights_pm1(k), _AMPLIFIED_PINS[f"half{k}"]) for k in (8, 16)],
+    ids=list(_AMPLIFIED_PINS),
 )
-def test_amplified_sampler_matches_rng_choice_stream(weights):
+def test_amplified_sampler_matches_rng_choice_stream(weights, pin):
     # exact-half weights vanish on every odd level, so the CDF skips them
     k = len(weights) - 1
     support = tuple(range(1, 3 * k + 1, 3))
+    digest = hashlib.sha256()
+    charged = []
     for l in sorted({1, 2, (k + 1) // 2, k}):
         oracle = JuntaOracle(
             3 * k + 1, support, np.random.Generator(np.random.Philox(k + l)),
@@ -530,10 +549,14 @@ def test_amplified_sampler_matches_rng_choice_stream(weights):
         )
         twin = np.random.Generator(np.random.Philox(k + l))
         for _ in range(2000):
-            assert oracle.amplified_level_sample(l) == _amplified_draw_via_choice(
-                weights, l, support, twin
-            )
+            out = oracle.amplified_level_sample(l)
+            assert out == _amplified_draw_via_choice(weights, l, support, twin)
+            digest.update(b"miss;" if out is None else f"{sorted(out)};".encode())
         np.testing.assert_equal(oracle.rng.bit_generator.state, twin.bit_generator.state)
+        counts = oracle.ledger.counts
+        assert sum(counts.values()) == counts["charged_quantum"]
+        charged.append(counts["charged_quantum"])
+    assert (digest.hexdigest(), tuple(charged)) == pin
 
 
 def test_amplified_sampler_rejects_asymmetric_table():
@@ -541,6 +564,23 @@ def test_amplified_sampler_rejects_asymmetric_table():
     oracle = JuntaOracle(5, (0, 1), np.random.default_rng(83), g_table=table)
     with pytest.raises(ValueError):
         oracle.amplified_level_sample(1)
+
+
+def test_junta_oracle_holds_its_own_weights():
+    # a write into the caller's array after construction leaves the law alone
+    weights = maj_level_weights(9).copy()
+    support = tuple(range(0, 27, 3))
+    oracle = JuntaOracle(30, support, np.random.default_rng(97), level_weights=weights)
+    twin = JuntaOracle(
+        30, support, np.random.default_rng(97), level_weights=maj_level_weights(9)
+    )
+    weights[:] = 0.0
+    weights[9] = 1.0  # every draw would hit, at the top level
+    for _ in range(500):
+        assert oracle.amplified_level_sample(5) == twin.amplified_level_sample(5)
+    assert oracle.ledger.counts == twin.ledger.counts
+    with pytest.raises(ValueError):
+        oracle.level_weights[0] = 1.0
 
 
 def test_junta_oracle_validation():
