@@ -2,15 +2,19 @@
 """Time two gqlab source trees against each other in one interpreter.
 
     python3 scripts/ab_passes.py OLD_SRC NEW_SRC [--workload or_small] [--rounds 15]
+    python3 scripts/ab_passes.py OLD_SRC NEW_SRC --preset sweep_bounded_degree_copies:40 ...
 
 OLD_SRC and NEW_SRC are directories that hold a ``gqlab`` package (a
 checkout's ``src``).  Both trees are imported into this process under the
 name ``gqlab``, each with its own module objects, and the one in use is
 swapped into ``sys.modules`` before each of its passes.  A pass runs every
 preset of the workload once through ``harness.run``, with the presets and
-trial counts that ``perfbench/workloads.py`` defines.  Each round runs one
-pass of each tree, alternating which goes first, and checks that the two
-trees gave the same ledger and outcome trial for trial.
+trial counts that ``perfbench/workloads.py`` defines.  ``--preset NAME:TRIALS``
+(repeatable) runs committed presets of ``scripts/`` instead, each with its
+first TRIALS trials per grid point and its committed seed, loaded as the
+benchmark loads its own; this reaches presets that no workload runs.  Each
+round runs one pass of each tree, alternating which goes first, and checks
+that the two trees gave the same ledger and outcome trial for trial.
 
 Printed: per round, each tree's pass time; then each tree's median
 ``trials_per_s``, ``trial_ms_p50`` and ``trial_ms_tail`` over the rounds
@@ -28,6 +32,7 @@ from __future__ import annotations
 
 import argparse
 import importlib
+import json
 import pkgutil
 import statistics
 import sys
@@ -133,6 +138,22 @@ def p50_points(passes: list[dict]) -> Counter:
     return counts
 
 
+# the workload name under which --preset runs its presets
+PRESETS = "presets"
+
+
+def preset_arg(text: str) -> tuple[str, int]:
+    """``NAME:TRIALS`` as (NAME, TRIALS) for a committed preset of scripts/."""
+    name, _, trials = text.partition(":")
+    path = ROOT / "scripts" / f"{name}.json"
+    if not path.is_file():
+        raise argparse.ArgumentTypeError(f"no preset scripts/{name}.json")
+    committed = json.loads(path.read_text())["trials"]
+    if not trials.isdigit() or not 1 <= int(trials) <= committed:
+        raise argparse.ArgumentTypeError(f"{text!r}: want NAME:TRIALS with 1 <= TRIALS <= {committed}")
+    return name, int(trials)
+
+
 HIGHER_IS_BETTER = {"trials_per_s": True, "trial_ms_p50": False, "trial_ms_tail": False}
 
 
@@ -140,11 +161,19 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_src", type=Path)
     parser.add_argument("new_src", type=Path)
-    parser.add_argument("--workload", default="or_small", choices=tuple(workloads.WORKLOADS))
+    source = parser.add_mutually_exclusive_group()
+    source.add_argument("--workload", default="or_small", choices=tuple(workloads.WORKLOADS))
+    source.add_argument("--preset", type=preset_arg, action="append",
+                        help="NAME:TRIALS, a committed preset run instead of a workload")
     parser.add_argument("--rounds", type=int, default=15)
     args = parser.parse_args(argv)
     if args.rounds < 1:
         parser.error("--rounds must be positive")
+    if args.preset:
+        # a workload of this process only, so the presets load exactly as the
+        # benchmark's own do (reduced trials, seed, validation)
+        workloads.WORKLOADS[PRESETS] = tuple(args.preset)
+        args.workload = PRESETS
 
     trees = {"old": load_tree(args.old_src), "new": load_tree(args.new_src)}
     for side in trees:  # warm caches and lazy set-up; not timed
@@ -162,7 +191,9 @@ def main(argv=None) -> int:
               f"  new {got['new']['wall_s'] * 1000:8.1f} ms", flush=True)
 
     trials = len(results["old"][0]["outcomes"])
-    print(f"\nworkload {args.workload}: {args.rounds} rounds, {trials} trials per pass, "
+    label = (", ".join(f"{name}:{n}" for name, n in args.preset) if args.preset
+             else f"workload {args.workload}")
+    print(f"\n{label}: {args.rounds} rounds, {trials} trials per pass, "
           "ledgers equal trial for trial in every round")
     print(f"{'metric':<16}{'old':>12}{'new':>12}{'new/old':>10}  rounds won old/new")
     for metric, higher in HIGHER_IS_BETTER.items():

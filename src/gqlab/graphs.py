@@ -97,8 +97,29 @@ class Graph:
 
     @classmethod
     def star(cls, n: int, center: int, leaves) -> Graph:
-        """The star joining ``center`` to each of ``leaves`` on n vertices."""
-        return cls(n, ((center, leaf) for leaf in leaves))
+        """The star joining ``center`` to each of ``leaves`` on n vertices.
+
+        Built as row words: the center's row is the leaf mask and each
+        leaf's row is the center's bit.  An empty leaf list, and arguments
+        the pair constructor refuses (a leaf that is the center, out of
+        range or negative), go to that constructor, so they get its answer
+        and its ValueError.
+        """
+        leaves = list(map(operator.index, leaves))
+        if not leaves:
+            return cls(n, ())
+        center = operator.index(center)
+        if not (0 <= center < n and 0 <= min(leaves) and max(leaves) < n) or center in leaves:
+            return cls(n, ((center, leaf) for leaf in leaves))
+        adj = [0] * n
+        bit, mask = 1 << center, 0
+        for leaf in leaves:
+            adj[leaf] = bit
+            mask |= 1 << leaf
+        adj[center] = mask
+        g = cls.__new__(cls)
+        g.n, g.adj_bits, g.m = n, tuple(adj), mask.bit_count()
+        return g
 
     @classmethod
     def clique(cls, n: int, members) -> Graph:

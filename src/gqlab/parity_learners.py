@@ -160,8 +160,11 @@ def _count_supports(n_items: int, w: int) -> int:
 
 
 # the row decoder refuses when its support table would hold more entries than
-# _MAX_TABLE (memory: about 76 bytes an entry, so 320 MB) or its join could
-# form more keys than _MAX_KEYS (time: about 80 ns a key, so 5 s)
+# _MAX_TABLE or its join could form more keys than _MAX_KEYS (time: about
+# 80 ns a key, so 5 s).  Memory: a decode peaks near 100 bytes an entry, so
+# about 420 MB (even d, whose one-row key block spans the whole table, at
+# n' = 2000), counting the support index, which keeps 25 bytes an entry at
+# weight 2 and 33 at weight 3 after the call (about 105 and 140 MB)
 _MAX_TABLE = 1 << 22
 _MAX_KEYS = 1 << 26
 
@@ -169,6 +172,13 @@ _MAX_KEYS = 1 << 26
 # at n' = 1000, d = 2 blocks of 2^18 decoded faster than one of 2^20, at
 # well under half the peak memory
 _JOIN_BLOCK = 1 << 18
+
+# the lowest position recorded for the empty support: above every position
+_PAST = np.iinfo(np.intp).max
+
+# weight bound -> (columns covered, positions, weights, lowest positions) of
+# every support of weight <= the bound; see _support_index
+_INDEX: dict[int, tuple[int, np.ndarray, np.ndarray, np.ndarray]] = {}
 
 
 def _limbs(words: Sequence[int], width: int) -> np.ndarray:
@@ -182,38 +192,66 @@ def _limbs(words: Sequence[int], width: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<u8").astype(np.uint64).reshape(len(words), size)
 
 
-def _support_table(sigs: np.ndarray, w: int):
-    """Every support of weight <= w over the rows of ``sigs``, lightest first.
+def _support_index(count: int, w: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every support of weight <= w over positions 0..count-1: ``(cols, weight, first)``.
 
-    Returns ``(sig, weight, first, last, parent)`` with one entry per
-    support: the XOR of its signatures, its weight, its lowest and highest
-    position (``len(sigs)`` and -1 for the empty support, entry 0) and the
-    entry of the support without its highest position (0 for entry 0).
-    Each weight class is in lexicographic order.
+    Entries are ordered by highest position after the empty support, entry
+    0, so the supports over the first n' positions are the first
+    C(n', <=w) entries whatever ``count`` is.  Column e of ``cols``
+    (max(w, 1) rows) holds entry e's positions ascending, padded with -1
+    in front; ``first`` is its lowest position (``_PAST`` for entry 0).
+    The index of each weight bound is built on first use, kept, and
+    extended only when a larger ``count`` arrives; slices of it are
+    returned.
     """
-    count, limbs = sigs.shape
-    sig = [np.zeros((1, limbs), dtype=np.uint64)]
-    first, last = [np.array([count])], [np.array([-1])]
-    parent = [np.zeros(1, dtype=np.intp)]
-    base = 0
-    for level in range(1, w + 1):
-        # extend each support of the previous level by one position above its last
-        ext = count - 1 - last[-1]
-        up = np.repeat(np.arange(len(ext)), ext)
-        j = np.arange(len(up)) + np.repeat(last[-1] + 1 - (np.cumsum(ext) - ext), ext)
-        sig.append(sig[-1][up] ^ sigs[j])
-        first.append(first[-1][up] if level > 1 else j)
-        last.append(j)
-        parent.append(up + base)
-        base += len(ext)
-    weight = np.repeat(np.arange(w + 1), [len(a) for a in last])
-    return (
-        np.concatenate(sig),
-        weight,
-        np.concatenate(first),
-        np.concatenate(last),
-        np.concatenate(parent),
+    have, cols, weight, first = _INDEX.get(w) or (
+        0, np.full((max(w, 1), 1), -1, dtype=np.intp), np.zeros(1, dtype=np.int8),
+        np.full(1, _PAST, dtype=np.intp),
     )
+    if w and count > have:
+        # the supports whose highest position is j add j to those of weight
+        # <= w - 1 below j, the first C(j, <=w-1) entries of that index
+        low_cols, low_weight, low_first = _support_index(count, w - 1)
+        sizes = np.array([_count_supports(j, w - 1) for j in range(have, count)])
+        src = np.arange(sizes.sum()) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+        top = np.repeat(np.arange(have, count), sizes)
+        new_cols = np.vstack([low_cols[:, src], top]) if w > 1 else top[None]
+        cols = np.concatenate([cols, new_cols], axis=1)
+        weight = np.concatenate([weight, low_weight[src] + 1])
+        first = np.concatenate([first, np.where(low_weight[src] > 0, low_first[src], top)])
+    _INDEX[w] = max(have, count), cols, weight, first
+    size = _count_supports(count, w)
+    return cols[:, :size], weight[:size], first[:size]
+
+
+def _sort(values: np.ndarray, bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """``values``, uint64 words below 2^bits, sorted, and the order that sorts them.
+
+    When each value fits above its index in one 64-bit word, the packed
+    words are sorted by value, which is about twice as fast as an argsort;
+    otherwise argsort.
+    """
+    shift = (len(values) - 1).bit_length()
+    if bits + shift > 64:
+        order = np.argsort(values)
+        return values.take(order), order
+    packed = np.sort(values << shift | np.arange(len(values), dtype=np.uint64))
+    return packed >> shift, (packed & ((1 << shift) - 1)).astype(np.intp)
+
+
+def _support_table(sigs: np.ndarray, w: int):
+    """Every support of weight <= w over the rows of ``sigs``: ``(sig, weight, first, cols)``.
+
+    The index's prefix for ``len(sigs)`` positions (``_support_index``),
+    with each entry's XOR of signatures, one fancy-indexed XOR per row of
+    ``cols``; the padding -1 reads an appended zero signature.
+    """
+    cols, weight, first = _support_index(len(sigs), w)
+    padded = np.concatenate([sigs, np.zeros((1, sigs.shape[1]), dtype=np.uint64)])
+    sig = padded.take(cols[0], axis=0)
+    for row in cols[1:]:
+        sig ^= padded.take(row, axis=0)
+    return sig, weight, first, cols
 
 
 def _lone_supports(
@@ -255,12 +293,15 @@ def _decode_rows(
     floor(|S|/2) lowest positions P, from the table of weight <= floor(d/2),
     with the rest Q, from the table of weight <= ceil(d/2).  A pair is kept
     only when 0 <= |Q| - |P| <= 1 and P lies wholly below Q, so every
-    support is found exactly once.  All rows join at once: the keys
-    ``target ^ sig(P)`` are sorted and searched in the big table's sorted
-    low limbs, runs of equal low limbs are expanded, and the higher limbs
-    are compared on the survivors.  Rows go in blocks, so the key array
-    stays near ``_JOIN_BLOCK`` entries and a caller that stops early skips
-    the remaining blocks.
+    support is found exactly once.  Both tables are prefixes of the cached
+    support index (``_support_index``), so a call forms only their
+    signatures, and a match's positions are read straight from the index.
+    All rows join at once: the keys ``target ^ sig(P)`` are sorted and
+    searched in the big table's sorted low limbs, runs of equal low limbs
+    are expanded when the table has any, and the higher limbs are compared
+    on the survivors.  A target's supports come in the order of their keys.
+    Rows go in blocks, so the key array stays near ``_JOIN_BLOCK`` entries
+    and a caller that stops early skips the remaining blocks.
 
     A row the big table certifies skips the join (``_lone_supports``): if
     the table's signatures are distinct, no dependency of weight
@@ -269,50 +310,51 @@ def _decode_rows(
     that is every row equal to one column's signature.
     """
     half = (d + 1) // 2
-    sig, weight, first, last, parent = _support_table(_limbs(sigs, width), half)
-    n_small = int(np.count_nonzero(weight <= d // 2))
-    small_low = sig[:n_small, 0]
-    big_order = np.argsort(sig[:, 0])
-    big_low = sig[big_order, 0]
+    limbs = _limbs(sigs, width)
+    sig, weight, first, cols = _support_table(limbs, half)
+    small_sig, small_weight, _, small_cols = (
+        (sig, weight, first, cols) if d % 2 == 0 else _support_table(limbs, half - 1)
+    )
+    n_small = len(small_weight)
+    small_low = small_sig[:, 0]
+    small_last = small_cols[-1]
+    bits = min(width, 64)  # of a low limb
+    big_low, big_order = _sort(sig[:, 0], bits)
+    distinct = not np.any(big_low[1:] == big_low[:-1])
+    is_position = (0).__le__
 
     def join(rows):
         """The supports of each of ``rows`` in order, one block of rows at a time."""
         step = max(1, _JOIN_BLOCK // n_small)
         for start in range(0, len(rows), step):
             block = rows[start:start + step]
-            keys = (block[:, :1] ^ small_low).ravel()
-            order = np.argsort(keys)
-            keys = keys[order]
+            keys, order = _sort((block[:, :1] ^ small_low).ravel(), bits)
             lo = np.searchsorted(big_low, keys)
             hit = np.flatnonzero(big_low.take(lo, mode="clip") == keys)
-            lo = lo[hit]
-            run = np.searchsorted(big_low, keys[hit], "right") - lo
-            at = np.repeat(lo - (np.cumsum(run) - run), run) + np.arange(run.sum())
+            at, key = lo[hit], order[hit]
+            if not distinct:  # each hit spans a run of equal low limbs
+                run = np.searchsorted(big_low, keys[hit], "right") - at
+                key = np.repeat(key, run)
+                at = np.repeat(at - (np.cumsum(run) - run), run) + np.arange(run.sum())
             q = big_order[at]
-            row, p = np.divmod(np.repeat(order[hit], run), n_small)
-            gap = weight[q] - weight[p]
-            keep = (gap >= 0) & (gap <= 1) & (last[p] < first[q])
+            row, p = np.divmod(key, n_small)
+            gap = weight[q] - small_weight[p]
+            keep = (gap >= 0) & (gap <= 1) & (small_last[p] < first[q])
             if block.shape[1] > 1:
-                high = block[row[keep], 1:] ^ sig[p[keep], 1:]
+                high = block[row[keep], 1:] ^ small_sig[p[keep], 1:]
                 keep[keep] = (high == sig[q[keep], 1:]).all(axis=1)
-            by_row = np.argsort(row[keep], kind="stable")
-            row, p, q = row[keep][by_row], p[keep][by_row], q[keep][by_row]
-            # each half's columns, read back through the parents from its highest one
-            pos = np.empty((len(row), 2 * half), dtype=np.intp)
-            for col in range(half - 1, -1, -1):
-                pos[:, col], pos[:, half + col] = last[p], last[q]
-                p, q = parent[p], parent[q]
-            found = [tuple(j for j in entry if j >= 0) for entry in pos.tolist()]
-            begin = 0
-            for end in np.cumsum(np.bincount(row, minlength=len(block))).tolist():
-                yield found[begin:end]
-                begin = end
+            # both halves' positions straight from the index, -1 padding dropped
+            pos = np.concatenate([small_cols[:, p[keep]], cols[:, q[keep]]]).T.tolist()
+            found = [[] for _ in range(len(block))]
+            for r, entry in zip(row[keep].tolist(), pos):
+                found[r].append(tuple(filter(is_position, entry)))
+            yield from found
 
     rows_all = _limbs(targets, width)
     lone = _lone_supports(rows_all, sig, weight, big_order, big_low, 2 * half - d)
     joined = join(rows_all[lone < 0])
     # a certified entry has weight <= 1: one column, or the empty support
-    for entry, col in zip(lone.tolist(), last[lone].tolist()):
+    for entry, col in zip(lone.tolist(), cols[-1, lone].tolist()):
         yield next(joined) if entry < 0 else [(col,) if col >= 0 else ()]
 
 
@@ -364,14 +406,18 @@ def _sparse_rows(
 
     sigs = [batch.B[u] for u in nonzero]
     targets = [batch.Y[v] for v in nonzero]
+    bits = [1 << v for v in nonzero]
     over = []
     for v, found in zip(nonzero, _decode_rows(sigs, targets, batch.k, d)):
         if len(found) > 1:
             raise AmbiguityError(f"row {v} has multiple weight-<={d} explanations")
         if not found:
             over.append(v)
-        else:
-            rows[v] = sum(1 << nonzero[j] for j in found[0])
+            continue
+        word = 0
+        for j in found[0]:
+            word |= bits[j]
+        rows[v] = word
     return rows, over, batch
 
 

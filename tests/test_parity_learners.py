@@ -1,14 +1,26 @@
 import math
+import os
 import random
+import subprocess
+import sys
+from collections import Counter
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab import f2, harness
-from gqlab.errors import AmbiguityError, RetryBudgetError, ScaleError, ViolationError
+import gqlab
+from gqlab import f2, harness, parity_learners
+from gqlab.errors import (
+    AmbiguityError,
+    GqlabError,
+    RetryBudgetError,
+    ScaleError,
+    ViolationError,
+)
 from gqlab.graphs import FamilySpec, Graph, enumerate_all_graphs, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.parity_learners import (
@@ -16,6 +28,7 @@ from gqlab.parity_learners import (
     _decode_rows,
     _limbs,
     _lone_supports,
+    _support_index,
     _support_table,
     collect_samples,
     learn_arbitrary_parity,
@@ -307,10 +320,10 @@ def test_row_decoder_single_column_and_many_blocks(monkeypatch):
 def certified_columns(sigs, targets, width, d):
     """Per target, the column ``_lone_supports`` certifies (-1: the empty support), or None."""
     half = (d + 1) // 2
-    sig, weight, _, last, _ = _support_table(_limbs(sigs, width), half)
+    sig, weight, _, cols = _support_table(_limbs(sigs, width), half)
     order = np.argsort(sig[:, 0])
     lone = _lone_supports(_limbs(targets, width), sig, weight, order, sig[order, 0], 2 * half - d)
-    return [int(last[e]) if e >= 0 else None for e in lone]
+    return [int(cols[-1, e]) if e >= 0 else None for e in lone]
 
 
 def test_row_decoder_certifies_single_columns_over_a_distinct_table():
@@ -370,6 +383,63 @@ def test_row_decoder_certificate_reads_the_high_limbs(width):
         j if i == 0 else None for j in range(12) for i in range(2)
     ]
     assert decoded_masks(sigs, targets, width, 3) == [brute_supports(t, sigs, 3) for t in targets]
+
+
+@pytest.mark.parametrize("w", range(4))
+def test_support_index_lists_supports_by_highest_position(monkeypatch, w):
+    # a fresh index, grown, read as a prefix, and grown again
+    monkeypatch.setattr(parity_learners, "_INDEX", {})
+    rows = max(w, 1)
+    for count in (30, 5, 45, 1, 45):
+        cols, weight, first = _support_index(count, w)
+        # colex order: by highest position, the empty support first
+        want = sorted(
+            (c for k in range(w + 1) for c in combinations(range(count), k)),
+            key=lambda c: c[::-1],
+        )
+        assert cols.T.tolist() == [[-1] * (rows - len(c)) + list(c) for c in want]
+        assert weight.tolist() == [len(c) for c in want]
+        assert first.tolist()[1:] == [c[0] for c in want[1:]]
+        assert first[0] > count
+    # one entry per weight bound, covering the widest count asked for
+    assert {b: entry[0] for b, entry in parity_learners._INDEX.items()} == {
+        b: 45 for b in range(w + 1)
+    }
+
+
+def test_row_decoder_index_serves_narrower_and_wider_decodes(monkeypatch):
+    # one index through the test: built at 70 columns, read as a prefix at
+    # 10, grown at 200; every decode agrees with brute force
+    monkeypatch.setattr(parity_learners, "_INDEX", {})
+    index = parity_learners._INDEX
+    rnd = random.Random(23)
+    built = {}
+    for count in (70, 10, 200):
+        sigs = [rnd.getrandbits(40) for _ in range(count)]
+        # one row the certificate settles, one the join must find
+        targets = []
+        for weight in (1, 3):
+            planted = 0
+            for j in rnd.sample(range(count), weight):
+                planted ^= sigs[j]
+            targets.append(planted)
+        got = decoded_masks(sigs, targets, 40, 3)
+        assert got == [brute_supports(t, sigs, 3) for t in targets]
+        assert [len(g) for g in got] == [1, 1]
+        built[count] = index[2][1]
+    # the prefix read rebuilt nothing; the wider decode grew the index
+    assert built[10] is built[70] and built[200].shape == (2, math.comb(200, 2) + 201)
+    assert {b: entry[0] for b, entry in index.items()} == {0: 200, 1: 200, 2: 200}
+
+
+def test_import_builds_no_support_index():
+    src = Path(gqlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    code = "import gqlab.parity_learners as p; print(len(p._INDEX))"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "0"
 
 
 def test_assembly_refuses_unreturned_claims():
@@ -444,6 +514,42 @@ def test_bounded_degree_rejects_bad_arguments():
     h = make_oracle(Graph(6, []), seed=0)
     with pytest.raises(ValueError):
         learn_bounded_degree(h, d=0)
+
+
+def test_every_graph_on_five_vertices_through_the_parity_learners():
+    """Every graph on n <= 5, three seeds each, through three parity-side learners.
+
+    ``learn_arbitrary_parity`` is always right at exactly 2n parity queries;
+    ``learn_bounded_edges_parity`` (m = the hidden m) and
+    ``learn_bounded_degree`` (d = the largest degree, at least 1) answer the
+    hidden graph, None (bounded degree only) or a GqlabError.  No learner
+    reveals the graph.  Every answer is the hidden graph at these seeds.
+    """
+    learners = {
+        "arbitrary": lambda h, g: learn_arbitrary_parity(h),
+        "bounded_edges": lambda h, g: learn_bounded_edges_parity(h, m=g.m),
+        "bounded_degree": lambda h, g: learn_bounded_degree(
+            h, d=max(1, *map(g.degree, range(g.n)))
+        ),
+    }
+    misses = Counter()
+    for n in range(1, 6):
+        for i, g in enumerate(enumerate_all_graphs(n)):
+            for seed in range(3):
+                for name, learn in learners.items():
+                    ledger = QueryLedger()
+                    h = make_oracle(g, seed=[n, i, seed], ledger=ledger)
+                    try:
+                        got = learn(h, g)
+                    except GqlabError as exc:
+                        got = type(exc).__name__
+                    assert ledger.counts["reveal_used"] == 0
+                    if name == "arbitrary":
+                        assert got == g and ledger.counts["parity_query"] == 2 * n
+                    if got != g:
+                        assert isinstance(got, str) or (got is None and name == "bounded_degree")
+                        misses[name, got] += 1
+    assert misses == Counter()
 
 
 # -- subgraph of a known graph -------------------------------------------------------
