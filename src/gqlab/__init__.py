@@ -20,8 +20,6 @@ from gqlab.fourier import (
     maj_truth,
 )
 from gqlab.graphs import (
-    FAMILY_KINDS,
-    FamilySpec,
     Graph,
     adversary_instance,
     enumerate_all_graphs,
@@ -59,8 +57,6 @@ __all__ = [
     "BACKENDS",
     "CSV_COLUMNS",
     "ExperimentConfig",
-    "FAMILY_KINDS",
-    "FamilySpec",
     "Graph",
     "GqlabError",
     "GraphOracle",

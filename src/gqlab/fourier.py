@@ -125,9 +125,14 @@ def maj_coefficient(k: int, subset_size: int) -> float:
     l = subset_size
     if l % 2 == 0:
         return 0.0
-    top = math.comb((k - 1) // 2, (l - 1) // 2) * math.comb(k - 1, (k - 1) // 2)
-    value = top / math.comb(k - 1, l - 1) * 2.0 ** (1 - k)
+    value = _maj_ratio(k, l) * 2.0 ** (1 - k)
     return (-1) ** ((l - 1) // 2) * value
+
+
+def _maj_ratio(k: int, l: int) -> float:
+    """C((k-1)/2, (l-1)/2) C(k-1, (k-1)/2) / C(k-1, l-1), exact until one division."""
+    top = math.comb((k - 1) // 2, (l - 1) // 2) * math.comb(k - 1, (k - 1) // 2)
+    return top / math.comb(k - 1, l - 1)
 
 
 # typed, so a float k never hits an int k's entry and still fails as uncached
@@ -141,9 +146,7 @@ def maj_level_weights(k: int) -> np.ndarray:
         raise ValueError("majority needs odd arity")
     weights = np.zeros(k + 1)
     for l in range(1, k + 1, 2):
-        # math.comb keeps this exact until the final float division
-        top = math.comb((k - 1) // 2, (l - 1) // 2) * math.comb(k - 1, (k - 1) // 2)
-        coeff = top / math.comb(k - 1, l - 1)
+        coeff = _maj_ratio(k, l)
         weights[l] = math.comb(k, l) * (coeff * coeff) * 4.0 ** (1 - k)
     weights.flags.writeable = False
     return weights

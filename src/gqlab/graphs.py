@@ -8,8 +8,7 @@ support are isolated.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -17,22 +16,10 @@ from gqlab import f2
 
 __all__ = [
     "Graph",
-    "FamilySpec",
     "generate",
     "adversary_instance",
     "enumerate_all_graphs",
-    "FAMILY_KINDS",
 ]
-
-FAMILY_KINDS = (
-    "matching",
-    "hamiltonian_cycle",
-    "star",
-    "clique",
-    "bounded_degree",
-    "fixed_edge_count",
-    "two_clique_adversary",
-)
 
 
 class Graph:
@@ -191,27 +178,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parameters for one hidden-graph family.
-
-    kind-specific fields: ``k`` is the support/structure size (clique or
-    cycle vertices), ``m`` an edge count, ``d`` a degree bound.
-    ``two_clique_adversary`` uses ``k`` as the per-side clique size and
-    requires ``n == 2k``.
-    """
-
-    kind: str
-    n: int
-    k: int | None = None
-    m: int | None = None
-    d: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in FAMILY_KINDS:
-            raise ValueError(f"unknown family kind {self.kind!r}")
-
-
 def _support(n: int, size: int, rng: np.random.Generator) -> list[int]:
     if size > n:
         raise ValueError(f"support size {size} exceeds n={n}")
@@ -279,63 +245,69 @@ def _eligible_pair_left(rows: list[int], d: int) -> bool:
     return any((mask & ~rows[v]) ^ (1 << v) for v in free)
 
 
-def generate(spec: FamilySpec, rng: np.random.Generator) -> Graph:
-    """Draw one hidden graph from the family."""
-    n = spec.n
-    kind = spec.kind
+def generate(kind: str, point: Mapping, rng: np.random.Generator) -> Graph:
+    """Draw one hidden graph of the named kind.
+
+    ``point`` holds ``n`` and the kind's keys: ``k`` a support or structure
+    size (clique or cycle vertices, or the per-side clique size of
+    ``two_clique_adversary``, which requires ``n == 2k``), ``m`` an edge
+    count (drawn by ``bounded_degree`` when absent), ``d`` a degree bound.
+    """
+    n = point["n"]
+    k, m, d = point.get("k"), point.get("m"), point.get("d")
 
     if kind == "matching":
-        if spec.m is None or spec.m < 0 or 2 * spec.m > n:
+        if m is None or m < 0 or 2 * m > n:
             raise ValueError("matching needs m with 2m <= n")
-        sup = _support(n, 2 * spec.m, rng)
+        sup = _support(n, 2 * m, rng)
         return Graph(n, zip(sup[0::2], sup[1::2]))
 
     if kind == "hamiltonian_cycle":
-        if spec.k is None or spec.k < 3:
+        if k is None or k < 3:
             raise ValueError("cycle needs k >= 3 support vertices")
-        sup = _support(n, spec.k, rng)
+        sup = _support(n, k, rng)
         return Graph(n, zip(sup, sup[1:] + sup[:1]))
 
     if kind == "star":
-        if spec.m is None or spec.m < 1 or spec.m + 1 > n:
+        if m is None or m < 1 or m + 1 > n:
             raise ValueError("star needs 1 <= m <= n-1 edges")
-        sup = _support(n, spec.m + 1, rng)
+        sup = _support(n, m + 1, rng)
         return Graph.star(n, sup[0], sup[1:])
 
     if kind == "clique":
-        if spec.k is None or spec.k < 2:
+        if k is None or k < 2:
             raise ValueError("clique needs k >= 2")
-        return Graph.clique(n, _support(n, spec.k, rng))
+        return Graph.clique(n, _support(n, k, rng))
 
     if kind == "bounded_degree":
-        if spec.d is None or spec.d < 1:
+        if d is None or d < 1:
             raise ValueError("bounded_degree needs d >= 1")
-        m = spec.m if spec.m is not None else int(rng.integers(0, n * spec.d // 2 + 1))
-        if 2 * m > n * spec.d:
+        m = m if m is not None else int(rng.integers(0, n * d // 2 + 1))
+        if 2 * m > n * d:
             raise ValueError("m exceeds what max degree d allows")
         # below both bounds such a graph exists, so the sampler finds one
         if m > n * (n - 1) // 2:
             raise ValueError("m exceeds the number of vertex pairs")
         if m == 0:
             return Graph(n, [])
-        return _bounded_degree(n, m, spec.d, rng)
+        return _bounded_degree(n, m, d, rng)
 
     if kind == "fixed_edge_count":
-        if spec.m is None or spec.m < 0:
+        if m is None or m < 0:
             raise ValueError("fixed_edge_count needs m >= 0")
         npairs = n * (n - 1) // 2
-        if spec.m > npairs:
+        if m > npairs:
             raise ValueError("m exceeds the number of vertex pairs")
         # drawn as positions in np.triu_indices(n, 1), which is never built
-        us, vs = _triu_pairs(rng.choice(npairs, size=spec.m, replace=False), n)
+        us, vs = _triu_pairs(rng.choice(npairs, size=m, replace=False), n)
         return Graph(n, zip(us.tolist(), vs.tolist()))
 
     if kind == "two_clique_adversary":
-        if spec.k is None or spec.k < 1 or n != 2 * spec.k:
+        if k is None or k < 1 or n != 2 * k:
             raise ValueError("two_clique_adversary needs n == 2k")
-        return adversary_instance(spec.k, f2.random_matrix(spec.k, spec.k, rng))
+        return adversary_instance(k, f2.random_matrix(k, k, rng))
 
-    raise AssertionError(kind)
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 def adversary_instance(half: int, cross: Sequence[int]) -> Graph:

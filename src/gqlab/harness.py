@@ -5,17 +5,11 @@ points with a fixed number of trials per point.  Every trial derives its own
 counter-based RNG stream from the master seed and the (point, trial) index
 pair, so trial order does not matter: every order yields identical records.
 
-Family names accepted per learner:
-
-* graph families from :mod:`gqlab.graphs` (``matching``, ``star``, ...),
-* ``all_small_graphs``: the full set of labelled graphs on ``r`` vertices
-  embedded in ``n`` (finite-family identification),
-* ``matching_union``: a known supergraph built as a union of ``d`` random
-  perfect matchings with a hidden half-density subgraph,
-* ``defect_set``: a hidden ``k``-subset of ``n`` items under membership
-  tests (group testing),
-* ``majority_junta``: majority of ``k`` hidden variables out of ``n``,
-  learned from amplified Fourier samples at level ``(k+1)//2``.
+Two tables say what a sweep can run.  ``FAMILIES`` holds one row per family
+of hidden objects: the point keys its draw reads besides ``n``, and the draw
+itself.  ``LEARNERS`` holds one row per learner: the families it runs on,
+its cost metric, the point keys it reads and the call that runs it.  A grid
+point may carry ``n`` and any key some row of either table reads.
 """
 
 from __future__ import annotations
@@ -36,12 +30,13 @@ from gqlab import cgt as cgt_mod
 from gqlab import or_learners, parity_learners
 from gqlab.errors import GqlabError, ViolationError
 from gqlab.fourier import learn_symmetric_junta, maj_level_weights
-from gqlab.graphs import FAMILY_KINDS, FamilySpec, Graph, enumerate_all_graphs, generate
-from gqlab.oracles import QUERY_KINDS, GraphOracle, JuntaOracle, QueryLedger
+from gqlab.graphs import Graph, enumerate_all_graphs, generate
+from gqlab.oracles import GraphOracle, JuntaOracle, QueryLedger
 
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
+    "FAMILIES",
     "LEARNERS",
     "CSV_COLUMNS",
     "run",
@@ -65,13 +60,6 @@ CSV_COLUMNS = (
     "ms",
 )
 
-# grid-point keys whose values learners and families use as integers
-_INT_POINT_KEYS = ("n", "m", "d", "k", "r", "m_hint")
-
-# every grid-point key some learner or family reads; any other key is refused
-# rather than silently ignored
-_POINT_KEYS = _INT_POINT_KEYS + ("known_k",)
-
 _CSV_COUNTERS = {
     "or_queries": "or_query",
     "parity_queries": "parity_query",
@@ -84,12 +72,10 @@ _CSV_COUNTERS = {
 class ExperimentConfig:
     """One sweep: a learner, a family, and a grid of size points.
 
-    ``grid`` entries are plain dicts of point parameters (``n`` plus
-    whatever the family and learner need: ``m``, ``k``, ``d``, ``r``,
-    ``m_hint``, ``known_k``...).  ``slack`` of None keeps each
-    learner's own default.  ``sweep`` names the grid key driving the
-    log-log slope fit; ``metric`` picks the ledger counter (terms may be
-    summed with ``+``), defaulting per learner.
+    ``grid`` entries are plain dicts of point parameters: ``n`` plus the
+    keys the family's and the learner's table rows read.  ``slack`` of
+    None keeps each learner's own default.  ``sweep`` names the grid key
+    driving the log-log slope fit of the learner's metric.
     """
 
     learner: str
@@ -100,7 +86,6 @@ class ExperimentConfig:
     backend: str = "classical_adaptive"
     slack: int | None = None
     sweep: str | None = None
-    metric: str | None = None
     min_success: float | None = None
     slope_range: tuple[float, float] | None = None
     record_wall_time: bool = False
@@ -122,7 +107,7 @@ class ExperimentConfig:
         for name in ("learner", "family", "backend", "fmt"):
             if not isinstance(getattr(self, name), str):
                 raise ValueError(f"{name} must be a string, not {getattr(self, name)!r}")
-        for name in ("sweep", "metric", "out"):
+        for name in ("sweep", "out"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 raise ValueError(f"{name} must be a string or null, not {value!r}")
@@ -162,27 +147,17 @@ class ExperimentConfig:
             unknown = [key for key in point if key not in _POINT_KEYS]
             if unknown:
                 raise ValueError(f"unknown grid keys {unknown} in point {point}")
-            for key in _INT_POINT_KEYS:
-                if key in point and not _is_number(point[key], numbers.Integral):
-                    raise ValueError(
-                        f"grid key {key!r} must be an integer, not {point[key]!r}"
-                    )
+            for key, value in point.items():
+                if key != "known_k" and not _is_number(value, numbers.Integral):
+                    raise ValueError(f"grid key {key!r} must be an integer, not {value!r}")
         for point in self.grid:
             _check_point(self.learner, self.family, point)
         if self.sweep is not None:
             for point in self.grid:
                 if self.sweep not in point:
                     raise ValueError(f"sweep key {self.sweep!r} missing from a point")
-        for term in self.resolved_metric().split("+"):
-            if term not in QUERY_KINDS:
-                raise ValueError(f"unknown ledger counter {term!r}")
         if self.fmt not in ("csv", "json"):
             raise ValueError("fmt must be csv or json")
-
-    def resolved_metric(self) -> str:
-        if self.metric is not None:
-            return self.metric
-        return LEARNERS[self.learner].metric
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2)
@@ -208,7 +183,7 @@ def _check_point(learner: str, family: str, point: dict) -> None:
             # up to 2^15 graphs in the trial cache
             enumerate_all_graphs(point["r"], point["n"])
         else:
-            _instance(family, point, np.random.default_rng(0), QueryLedger())
+            FAMILIES[family].draw(point, np.random.default_rng(0), QueryLedger())
     except (KeyError, ValueError, GqlabError) as exc:
         raise ValueError(f"{family} cannot build point {point}: {exc!r}") from exc
 
@@ -242,19 +217,31 @@ class TrialRecord:
     ms: float = 0.0
 
 
-# -- instances and the learner table -------------------------------------------
+# -- the family table and the learner table ------------------------------------
 
 
-def _matching_union(n: int, layers: int, rng) -> Graph:
-    if n % 2:
-        raise ValueError("matching_union needs even n")
-    rows = [0] * n
-    for _ in range(layers):
-        perm = rng.permutation(n).tolist()
-        for a, b in zip(perm[::2], perm[1::2]):
-            rows[a] |= 1 << b
-            rows[b] |= 1 << a
-    return Graph.from_rows(rows)
+@dataclass(frozen=True)
+class Family:
+    """One row of the family table: ``draw`` and the point keys it reads besides ``n``.
+
+    ``draw(point, rng, ledger)`` returns ``(oracle, hidden, side)``, where
+    ``side`` is what the learner is told besides the oracle: the candidate
+    tuple for ``all_small_graphs``, the known supergraph for
+    ``matching_union``, the ledger group testing bills for ``defect_set``,
+    and None otherwise.
+    """
+
+    keys: tuple[str, ...]
+    draw: Callable
+
+
+def _graph_family(kind: str, keys: tuple[str, ...]) -> Family:
+    def draw(point, rng, ledger):
+        # ``generate`` is this module's global, looked up at each call
+        hidden = generate(kind, point, rng)
+        return GraphOracle(hidden, rng, ledger=ledger), hidden, None
+
+    return Family(keys, draw)
 
 
 @functools.cache
@@ -262,49 +249,72 @@ def _small_graphs(r: int, n: int) -> tuple[Graph, ...]:
     return tuple(enumerate_all_graphs(r, n))
 
 
-def _instance(family: str, point: dict, rng, ledger: QueryLedger):
-    """Draw one hidden object; returns ``(oracle, hidden, side)``.
-
-    For ``defect_set`` the oracle is the pair (membership test, block form)
-    that ``cgt_solve`` takes as ``test`` and ``block``.  ``side`` is what
-    the learner is told besides the oracle: the candidate tuple for
-    ``all_small_graphs``, the known supergraph for ``matching_union``, the
-    ledger billed by group testing for ``defect_set``, and None otherwise.
-    """
-    n = point["n"]
-    if family == "defect_set":
-        hidden = frozenset(rng.choice(n, size=point["k"], replace=False).tolist())
-        hidden_mask = sum(1 << v for v in hidden)
-
-        def test(items):
-            ledger.charge("or_query")
-            return items & hidden_mask != 0
-
-        def block(items):
-            ledger.charge("or_query", items.bit_count())
-            return items & hidden_mask
-
-        return (test, block), hidden, ledger
-    if family == "majority_junta":
-        k = point["k"]
-        support = sorted(rng.choice(n, size=k, replace=False).tolist())
-        oracle = JuntaOracle(
-            n, support, rng, level_weights=maj_level_weights(k), ledger=ledger
-        )
-        return oracle, frozenset(support), None
-    side = None
-    if family == "all_small_graphs":
-        side = _small_graphs(point["r"], n)
-        hidden = side[int(rng.integers(len(side)))]
-    elif family == "matching_union":
-        side = _matching_union(n, point["d"], rng)
-        hidden = Graph(n, [e for e in sorted(side.edges) if rng.random() < 0.5])
-    else:
-        spec = FamilySpec(
-            kind=family, n=n, k=point.get("k"), m=point.get("m"), d=point.get("d")
-        )
-        hidden = generate(spec, rng)
+def _draw_small_graph(point, rng, ledger):
+    side = _small_graphs(point["r"], point["n"])
+    hidden = side[int(rng.integers(len(side)))]
     return GraphOracle(hidden, rng, ledger=ledger), hidden, side
+
+
+def _draw_matching_union(point, rng, ledger):
+    """A union of ``d`` random perfect matchings and a hidden half of its edges."""
+    n, d = point["n"], point["d"]
+    if n % 2:
+        raise ValueError("matching_union needs even n")
+    rows = [0] * n
+    for _ in range(d):
+        perm = rng.permutation(n).tolist()
+        for a, b in zip(perm[::2], perm[1::2]):
+            rows[a] |= 1 << b
+            rows[b] |= 1 << a
+    side = Graph.from_rows(rows)
+    hidden = Graph(n, [e for e in sorted(side.edges) if rng.random() < 0.5])
+    return GraphOracle(hidden, rng, ledger=ledger), hidden, side
+
+
+def _draw_defect_set(point, rng, ledger):
+    """A hidden ``k``-subset of ``n`` items behind ``cgt_solve``'s test and block."""
+    hidden = frozenset(rng.choice(point["n"], size=point["k"], replace=False).tolist())
+    hidden_mask = sum(1 << v for v in hidden)
+
+    def test(items):
+        ledger.charge("or_query")
+        return items & hidden_mask != 0
+
+    def block(items):
+        ledger.charge("or_query", items.bit_count())
+        return items & hidden_mask
+
+    return (test, block), hidden, ledger
+
+
+def _draw_majority_junta(point, rng, ledger):
+    """Majority of ``k`` hidden variables out of ``n``."""
+    n, k = point["n"], point["k"]
+    support = sorted(rng.choice(n, size=k, replace=False).tolist())
+    oracle = JuntaOracle(
+        n, support, rng, level_weights=maj_level_weights(k), ledger=ledger
+    )
+    return oracle, frozenset(support), None
+
+
+# the families ``graphs.generate`` draws, with the point keys each reads
+_GENERATED = {
+    "matching": ("m",),
+    "hamiltonian_cycle": ("k",),
+    "star": ("m",),
+    "clique": ("k",),
+    "bounded_degree": ("d", "m"),
+    "fixed_edge_count": ("m",),
+    "two_clique_adversary": ("k",),
+}
+
+FAMILIES = {kind: _graph_family(kind, keys) for kind, keys in _GENERATED.items()} | {
+    # every labelled graph on r vertices, embedded in n
+    "all_small_graphs": Family(("r",), _draw_small_graph),
+    "matching_union": Family(("d",), _draw_matching_union),
+    "defect_set": Family(("k",), _draw_defect_set),
+    "majority_junta": Family(("k",), _draw_majority_junta),
+}
 
 
 @dataclass(frozen=True)
@@ -315,11 +325,13 @@ class Learner:
     ``hidden`` only for the ``m_hint`` default.  A trial succeeds when the
     answer equals ``hidden``, so a graph learner answers with a ``Graph``,
     ``cgt`` with the defect set and the junta learner with its support.
-    ``columns`` names the point keys echoed into the ``d``/``k`` CSV
-    columns; ``m`` is the hidden graph's edge count (empty for defect sets
-    and juntas).  A trial that raises a :class:`GqlabError` echoes the
-    point's own ``m``, ``d`` and ``k``.
-    ``needs`` names the point keys ``solve`` reads without a default.
+    ``metric`` is the ledger counter the summary averages (terms summed
+    with ``+``).  ``columns`` names the point keys echoed into the
+    ``d``/``k`` CSV columns; ``m`` is the hidden graph's edge count (empty
+    for defect sets and juntas).  A trial that raises a
+    :class:`GqlabError` echoes the point's own ``m``, ``d`` and ``k``.
+    ``needs`` names the point keys ``solve`` reads without a default and
+    ``optional`` those it reads with one.
     """
 
     families: tuple[str, ...]
@@ -327,20 +339,26 @@ class Learner:
     solve: Callable
     columns: tuple[str, ...] = ()
     needs: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
 
 
 def _slack(cfg: ExperimentConfig) -> dict:
     return {} if cfg.slack is None else {"slack": cfg.slack}
 
 
+def _m_hint(point: dict, hidden: Graph) -> int:
+    # the hidden edge count is read only when the point gives no hint
+    return point["m_hint"] if "m_hint" in point else hidden.m
+
+
 # Solvers name learners through their modules (or this module's globals) so
 # that a learner patched after import is the one that runs.
 LEARNERS = {
     "or_full": Learner(
-        FAMILY_KINDS, "or_query",
+        tuple(_GENERATED), "or_query",
         lambda h, g, p, cfg, side: or_learners.learn_graph_or(
-            h, m_hint=p.get("m_hint", g.m), backend=cfg.backend),
-        columns=("d", "k")),
+            h, m_hint=_m_hint(p, g), backend=cfg.backend),
+        columns=("d", "k"), optional=("m_hint",)),
     "or_star": Learner(
         ("star",), "or_query+charged_quantum",
         lambda h, g, p, cfg, side: or_learners.learn_star_or(h, backend=cfg.backend)),
@@ -350,7 +368,7 @@ LEARNERS = {
             h, p["k"], backend=cfg.backend),
         columns=("k",), needs=("k",)),
     "parity_arbitrary": Learner(
-        FAMILY_KINDS, "parity_query",
+        tuple(_GENERATED), "parity_query",
         lambda h, g, p, cfg, side: parity_learners.learn_arbitrary_parity(h),
         columns=("d", "k")),
     "parity_bounded_edges": Learner(
@@ -363,8 +381,8 @@ LEARNERS = {
         ("bounded_degree", "matching", "hamiltonian_cycle", "star"),
         "graph_state_copy",
         lambda h, g, p, cfg, side: parity_learners.learn_bounded_degree(
-            h, p["d"], m_hint=p.get("m_hint", g.m), **_slack(cfg)),
-        columns=("d",), needs=("d",)),
+            h, p["d"], m_hint=_m_hint(p, g), **_slack(cfg)),
+        columns=("d",), needs=("d",), optional=("m_hint",)),
     "graphstate_star": Learner(
         ("star",), "graph_state_copy",
         lambda h, g, p, cfg, side: parity_learners.learn_star_graphstate(h)),
@@ -376,7 +394,7 @@ LEARNERS = {
         ("all_small_graphs",), "graph_state_copy",
         lambda h, g, p, cfg, family: parity_learners.learn_from_family(
             h, family, k=p.get("k")),
-        columns=("k",)),
+        columns=("k",), optional=("k",)),
     "subgraph_known": Learner(
         ("matching_union",), "graph_state_copy",
         lambda h, g, p, cfg, base: parity_learners.learn_subgraph_of(
@@ -387,13 +405,20 @@ LEARNERS = {
         lambda tests, defects, p, cfg, ledger: cgt_mod.cgt_solve(
             list(range(p["n"])), tests[0], k=p["k"] if p.get("known_k") else None,
             backend=cfg.backend, ledger=ledger, block=tests[1]),
-        columns=("k",), needs=("k",)),
+        columns=("k",), needs=("k",), optional=("known_k",)),
     "junta_symmetric": Learner(
         ("majority_junta",), "charged_quantum",
         lambda h, support, p, cfg, side: learn_symmetric_junta(
             h, l=(p["k"] + 1) // 2),
         columns=("k",), needs=("k",)),
 }
+
+# every grid-point key some family or learner reads; any other key is refused
+# rather than silently ignored.  All but ``known_k`` are integers.
+_POINT_KEYS = frozenset({"n"}).union(
+    *(row.keys for row in FAMILIES.values()),
+    *(row.needs + row.optional for row in LEARNERS.values()),
+)
 
 
 # -- the runner ----------------------------------------------------------------------
@@ -409,7 +434,7 @@ def _run_trial(cfg: ExperimentConfig, point_idx: int, trial_idx: int) -> TrialRe
     where = f"{cfg.learner} point {point_idx} trial {trial_idx} seed {seed_val}"
     t0 = time.perf_counter() if cfg.record_wall_time else 0.0
     try:
-        oracle, hidden, side = _instance(cfg.family, point, rng, ledger)
+        oracle, hidden, side = FAMILIES[cfg.family].draw(point, rng, ledger)
         success = row.solve(oracle, hidden, point, cfg, side) == hidden
         m = hidden.m if isinstance(hidden, Graph) else None
         d = point.get("d") if "d" in row.columns else None
@@ -436,10 +461,6 @@ def _run_trial(cfg: ExperimentConfig, point_idx: int, trial_idx: int) -> TrialRe
     )
 
 
-def _metric_value(record: TrialRecord, metric: str) -> int:
-    return sum(record.ledger.get(term, 0) for term in metric.split("+"))
-
-
 def run(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
     """Run the sweep; returns records ordered by (point, trial) and a summary.
 
@@ -460,14 +481,15 @@ def run(cfg: ExperimentConfig) -> tuple[list[TrialRecord], dict]:
         for ti in range(cfg.trials)
     ]
 
-    metric = cfg.resolved_metric()
+    metric = LEARNERS[cfg.learner].metric
+    terms = metric.split("+")
     points_summary = []
     failures: list[str] = []
     means = []
     for pi, point in enumerate(cfg.grid):
         chunk = records[pi * cfg.trials : (pi + 1) * cfg.trials]
         rate = sum(r.success for r in chunk) / len(chunk)
-        mean_metric = sum(_metric_value(r, metric) for r in chunk) / len(chunk)
+        mean_metric = sum(r.ledger.get(t, 0) for r in chunk for t in terms) / len(chunk)
         means.append(mean_metric)
         entry = {
             "point": dict(point),

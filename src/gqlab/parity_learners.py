@@ -300,8 +300,10 @@ def _decode_rows(
     searched in the big table's sorted low limbs, runs of equal low limbs
     are expanded when the table has any, and the higher limbs are compared
     on the survivors.  A target's supports come in the order of their keys.
-    Rows go in blocks, so the key array stays near ``_JOIN_BLOCK`` entries
-    and a caller that stops early skips the remaining blocks.
+    Rows go in blocks of ``_JOIN_BLOCK // n_small`` (at least one), and a
+    caller that stops early skips the rest.  A block holds about
+    ``_JOIN_BLOCK`` keys until the small table outgrows that; then it is
+    one row against the whole small table, the big one at even d.
 
     A row the big table certifies skips the join (``_lone_supports``): if
     the table's signatures are distinct, no dependency of weight

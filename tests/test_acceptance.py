@@ -318,7 +318,7 @@ def test_criterion_05_query_scaling_slopes():
     slopes["parity_edges"] = _slope_run(
         learner="parity_bounded_edges", family="fixed_edge_count",
         grid=tuple({"n": 128, "m": m} for m in (8, 16, 32, 64)),
-        trials=200, seed=11510, slack=0, sweep="m", metric="parity_query",
+        trials=200, seed=11510, slack=0, sweep="m",
         slope_range=(0.4, 0.65),
     )
     slopes["degree_copies"] = _slope_run(
@@ -330,12 +330,12 @@ def test_criterion_05_query_scaling_slopes():
             {"n": 64, "d": 4, "m": 96},
         ),
         trials=200, seed=11511, slack=0, sweep="d",
-        metric="graph_state_copy", slope_range=(0.8, 1.3),
+        slope_range=(0.8, 1.3),
     )
     slopes["junta"] = _slope_run(
         learner="junta_symmetric", family="majority_junta",
         grid=tuple({"n": 128, "k": k} for k in (9, 17, 33, 65)),
-        trials=200, seed=11512, sweep="k", metric="charged_quantum",
+        trials=200, seed=11512, sweep="k",
         slope_range=(0.15, 0.4),
     )
     slopes["star_or"] = _slope_run(

@@ -5,6 +5,7 @@ import importlib
 import importlib.util
 import pkgutil
 import sys
+from collections import Counter
 from pathlib import Path
 
 import gqlab
@@ -41,3 +42,25 @@ def test_benchmark_span_targets_resolve(monkeypatch):
     split = [name for name, places in targets.items()
              if len({id(getattr(owner, attr)) for owner, attr in places}) != 1]
     assert split == []
+
+
+def test_trials_look_the_traced_draws_up_when_they_run(monkeypatch):
+    """A trial finds ``generate`` and ``enumerate_all_graphs`` among the
+    harness module's globals when it runs, so the tracer's patch of those two
+    places sees every draw; a copy bound at import would bypass it."""
+    from gqlab import harness
+
+    calls = Counter()
+    for name in ("generate", "enumerate_all_graphs"):
+        def counted(*args, _name=name, _original=getattr(harness, name)):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(harness, name, counted)
+    # validation draws each point once, then every trial draws
+    harness.run(harness.ExperimentConfig(
+        learner="or_full", family="matching", grid=({"n": 8, "m": 2},), trials=3))
+    harness.run(harness.ExperimentConfig(
+        learner="bell_family", family="all_small_graphs", grid=({"n": 3, "r": 2},),
+        trials=1))
+    assert calls["generate"] == 4 and calls["enumerate_all_graphs"] >= 1

@@ -113,15 +113,19 @@ def test_maj_level_weights_match_table(k):
 
 
 def test_maj_level_weights_cached_read_only():
-    # one shared array per k, equal to the closed form computed afresh
-    for k in range(1, 130, 2):
+    # one shared array per k, bit for bit the closed form computed afresh
+    # (the junta draws read these weights), and each coefficient bit for bit
+    # its own formula
+    for k in range(1, 260, 2):
         weights = maj_level_weights(k)
         closed = np.zeros(k + 1)
         for l in range(1, k + 1, 2):
             top = math.comb((k - 1) // 2, (l - 1) // 2) * math.comb(k - 1, (k - 1) // 2)
             coeff = top / math.comb(k - 1, l - 1)
             closed[l] = math.comb(k, l) * (coeff * coeff) * 4.0 ** (1 - k)
-        np.testing.assert_array_equal(weights, closed)
+            value = top / math.comb(k - 1, l - 1) * 2.0 ** (1 - k)
+            assert maj_coefficient(k, l) == (-1) ** ((l - 1) // 2) * value, (k, l)
+        assert weights.tobytes() == closed.tobytes(), k
         assert maj_level_weights(k) is weights
         with pytest.raises(ValueError):
             weights[0] = 1.0

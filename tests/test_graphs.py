@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from gqlab import f2
 from gqlab.graphs import (
-    FamilySpec,
     Graph,
     _triu_pairs,
     adversary_instance,
@@ -143,13 +142,13 @@ class TestGraphBasics:
 class TestFamilies:
     def test_matching_profile(self):
         for _ in range(50):
-            g = generate(FamilySpec("matching", n=12, m=4), rng)
+            g = generate("matching", {"n": 12, "m": 4}, rng)
             assert g.m == 4
             assert degree_profile(g) == [0] * 4 + [1] * 8
 
     def test_hamiltonian_cycle_is_single_cycle(self):
         for _ in range(50):
-            g = generate(FamilySpec("hamiltonian_cycle", n=10, k=6), rng)
+            g = generate("hamiltonian_cycle", {"n": 10, "k": 6}, rng)
             sup = g.non_isolated()
             assert len(sup) == 6 and g.m == 6
             assert all(g.degree(v) == 2 for v in sup)
@@ -165,23 +164,23 @@ class TestFamilies:
 
     def test_star_profile(self):
         for _ in range(50):
-            g = generate(FamilySpec("star", n=9, m=5), rng)
+            g = generate("star", {"n": 9, "m": 5}, rng)
             assert degree_profile(g) == [0] * 3 + [1] * 5 + [5]
             assert g.is_star() is not None
 
     def test_clique_profile(self):
-        g = generate(FamilySpec("clique", n=11, k=5), rng)
+        g = generate("clique", {"n": 11, "k": 5}, rng)
         assert g.m == 10
         assert degree_profile(g) == [0] * 6 + [4] * 5
 
     def test_bounded_degree_respects_cap_and_m(self):
         for _ in range(30):
-            g = generate(FamilySpec("bounded_degree", n=20, d=3, m=25), rng)
+            g = generate("bounded_degree", {"n": 20, "d": 3, "m": 25}, rng)
             assert g.m == 25
             assert max(g.degree(v) for v in range(20)) <= 3
 
     def test_bounded_degree_with_no_edges(self):
-        g = generate(FamilySpec("bounded_degree", 8, d=2, m=0), np.random.default_rng(0))
+        g = generate("bounded_degree", {"n": 8, "d": 2, "m": 0}, np.random.default_rng(0))
         assert g == Graph(8, [])
 
     def test_bounded_degree_law_matches_greedy_pass(self):
@@ -202,7 +201,7 @@ class TestFamilies:
         pair_rng = np.random.default_rng(41)
         samplers = {
             "rejection": lambda: generate(
-                FamilySpec("bounded_degree", n, d=d, m=m), pair_rng
+                "bounded_degree", {"n": n, "d": d, "m": m}, pair_rng
             ).edges,
             "permutation": lambda: permutation_bounded_degree(n, d, m, pair_rng),
         }
@@ -222,7 +221,7 @@ class TestFamilies:
 
     def test_fixed_edge_count_exact(self):
         for m in [0, 1, 7, 15]:
-            g = generate(FamilySpec("fixed_edge_count", n=10, m=m), rng)
+            g = generate("fixed_edge_count", {"n": 10, "m": m}, rng)
             assert g.m == m
 
     def test_support_is_uniform(self):
@@ -230,7 +229,7 @@ class TestFamilies:
         counts = np.zeros(10)
         trials = 4000
         for _ in range(trials):
-            g = generate(FamilySpec("clique", n=10, k=3), rng)
+            g = generate("clique", {"n": 10, "k": 3}, rng)
             for v in g.non_isolated():
                 counts[v] += 1
         freq = counts / trials
@@ -238,11 +237,11 @@ class TestFamilies:
 
     def test_infeasible_parameters_raise(self):
         with pytest.raises(ValueError):
-            generate(FamilySpec("matching", n=5, m=3), rng)
+            generate("matching", {"n": 5, "m": 3}, rng)
         with pytest.raises(ValueError):
-            generate(FamilySpec("bounded_degree", n=4, d=1, m=3), rng)
+            generate("bounded_degree", {"n": 4, "d": 1, "m": 3}, rng)
         with pytest.raises(ValueError):
-            FamilySpec("no_such_kind", n=4)
+            generate("no_such_kind", {"n": 4}, rng)
 
 
 def bounded_degree_law(n: int, d: int, m: int) -> dict[frozenset, Fraction]:
@@ -331,11 +330,10 @@ def test_fixed_edge_count_draws_in_o_m_memory():
     # the pair positions are drawn without the n(n-1)/2 population, and the
     # graph is its 4096 row words; a first draw at n = 8 keeps one-off lazy
     # set-up out of the traced peak
-    spec = FamilySpec("fixed_edge_count", n=4096, m=32)
-    generate(FamilySpec("fixed_edge_count", n=8, m=3), np.random.default_rng(3))
+    generate("fixed_edge_count", {"n": 8, "m": 3}, np.random.default_rng(3))
     tracemalloc.start()
     try:
-        g = generate(spec, np.random.default_rng(3))
+        g = generate("fixed_edge_count", {"n": 4096, "m": 32}, np.random.default_rng(3))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -363,7 +361,7 @@ class TestAdversaryInstance:
                 adversary_instance(half, bad)
 
     def test_family_kind_draws_random_cross(self):
-        g = generate(FamilySpec("two_clique_adversary", n=8, k=4), rng)
+        g = generate("two_clique_adversary", {"n": 8, "k": 4}, rng)
         assert g.n == 8
         # both cliques complete
         assert all(g.has_edge(a, b) for a in range(4) for b in range(a + 1, 4))

@@ -132,7 +132,6 @@ MALFORMED = (
     {"family": None},
     {"backend": 3},
     {"fmt": ["csv"]},
-    {"metric": 5},
     {"sweep": ["n"]},
     {"out": 5},
     {"record_wall_time": 1},
@@ -178,8 +177,6 @@ def test_validation_rejects_bad_configs():
     with pytest.raises(ValueError):
         run(small_config(sweep="m_missing"))
     with pytest.raises(ValueError):
-        run(small_config(metric="bogus_counter"))
-    with pytest.raises(ValueError):
         run(small_config(grid=()))
     for bad in MALFORMED + ({"trials": True}, {"seed": -1}, {"slope_range": ("a", 1)}):
         with pytest.raises(ValueError):
@@ -192,10 +189,13 @@ def test_every_preset_validates():
 
 
 def test_config_json_round_trip():
-    cfg = small_config(sweep="m", slope_range=(0.4, 0.65), metric="parity_query")
+    cfg = small_config(sweep="m", slope_range=(0.4, 0.65))
     assert config_from_json(cfg.to_json()) == cfg
     with pytest.raises(ValueError):
         config_from_json(json.dumps({"learner": "cgt", "mystery": 1}))
+    # the learner's own metric is the only one; a metric field is refused
+    with pytest.raises(ValueError, match="unknown config fields: \\['metric'\\]"):
+        config_from_json(json.dumps(json.loads(cfg.to_json()) | {"metric": "or_query"}))
 
 
 def test_star_sweep_counts_quantum_charges():
@@ -423,8 +423,8 @@ def test_learner_answers_with_the_hidden_type(learner):
     cfg = ExperimentConfig(learner=learner, family=family, grid=(point,), slack=slack)
     answered = 0
     for seed in range(6):
-        oracle, hidden, side = harness._instance(
-            family, point, np.random.default_rng(seed), QueryLedger()
+        oracle, hidden, side = harness.FAMILIES[family].draw(
+            point, np.random.default_rng(seed), QueryLedger()
         )
         try:
             answer = harness.LEARNERS[learner].solve(oracle, hidden, point, cfg, side)
@@ -433,6 +433,42 @@ def test_learner_answers_with_the_hidden_type(learner):
         assert answer is None or type(answer) is type(hidden), (answer, hidden)
         answered += 1
     assert answered
+
+
+class _ReadLog:
+    """Stands in for a hidden object: logs each attribute read, then delegates."""
+
+    def __init__(self, hidden):
+        self._hidden = hidden
+        self.reads = []
+
+    def __getattr__(self, name):
+        self.reads.append(name)
+        return getattr(self._hidden, name)
+
+
+@pytest.mark.parametrize("learner", sorted(GOLDEN))
+def test_only_the_m_hint_default_reads_the_hidden_object(learner):
+    # or_full and graphstate_bounded_degree default m_hint to the hidden
+    # edge count; no other row reads the hidden object, and a point that
+    # carries m_hint stops those two as well
+    family, grid, slack, _ = GOLDEN[learner]
+    point = grid[0]
+    reads = set()
+    for given in (point, point | {"m_hint": 3}):
+        cfg = ExperimentConfig(learner=learner, family=family, grid=(given,), slack=slack)
+        for seed in range(3):
+            oracle, hidden, side = harness.FAMILIES[family].draw(
+                given, np.random.default_rng(seed), QueryLedger()
+            )
+            log = _ReadLog(hidden)
+            try:
+                harness.LEARNERS[learner].solve(oracle, log, given, cfg, side)
+            except GqlabError:
+                pass
+            reads.update((given is point, name) for name in log.reads)
+    expected = {(True, "m")} if learner in ("or_full", "graphstate_bounded_degree") else set()
+    assert reads == expected
 
 
 def test_graphstate_star_single_edge_succeeds():

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from gqlab import f2
 from gqlab.errors import RetryBudgetError, ViolationError
-from gqlab.graphs import FamilySpec, Graph, adversary_instance, generate
+from gqlab.graphs import Graph, adversary_instance, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.or_learners import (
     find_nonisolated,
@@ -233,11 +233,11 @@ class _QueryLog(GraphOracle):
         return super().or_block_query(base, items)
 
 
-# (learner, family, seed) -> backend -> (queries logged, sha256 of the log,
-# nonzero ledger counts, nonzero suppressed counts); star m = 1 is the
-# single-edge case
+# (learner, (family, point items), seed) -> backend -> (queries logged,
+# sha256 of the log, nonzero ledger counts, nonzero suppressed counts); star
+# m = 1 is the single-edge case
 _QUERY_LOGS = {
-    ("graph", FamilySpec("two_clique_adversary", 8, k=4), 41): {
+    ("graph", ("two_clique_adversary", (("n", 8), ("k", 4))), 41): {
         "classical_adaptive": (
             106, "63d1887c2648c2f4809e4e64ca0ca2439f5c087b102ad724a252f20a19e4e43f",
             {"or_query": 106}, {}),
@@ -248,7 +248,7 @@ _QUERY_LOGS = {
             88, "f9b3ce97ae3d1e8729727c1bb590c6b92ba3bbd697928d6640d47c8a986b6c3f",
             {"or_query": 51, "charged_quantum": 58}, {"or_query": 46}),
     },
-    ("graph", FamilySpec("two_clique_adversary", 16, k=8), 42): {
+    ("graph", ("two_clique_adversary", (("n", 16), ("k", 8))), 42): {
         "classical_adaptive": (
             374, "eedcd73e8e4e6b5ddebd480f6f7e91aa29cfa323e9077b830f63f013bcf1cabb",
             {"or_query": 374}, {}),
@@ -259,7 +259,7 @@ _QUERY_LOGS = {
             236, "d894aa266fdb2006d6bcd8e2b4c61da6b662b1b07e35bd809bcd5b7cf38bd96c",
             {"or_query": 129, "charged_quantum": 221}, {"or_query": 176}),
     },
-    ("graph", FamilySpec("fixed_edge_count", 24, m=30), 43): {
+    ("graph", ("fixed_edge_count", (("n", 24), ("m", 30))), 43): {
         "classical_adaptive": (
             244, "3cd887ba0bbb18b4f3e81653254401d3f816431d26dbb4b864a5789aab95a31f",
             {"or_query": 244}, {}),
@@ -270,7 +270,7 @@ _QUERY_LOGS = {
             74, "1d46945e6c412642cef014c0e32727c790397a90cff57f34704b033b81826b58",
             {"or_query": 36, "charged_quantum": 103}, {"or_query": 179}),
     },
-    ("graph", FamilySpec("matching", 20, m=6), 44): {
+    ("graph", ("matching", (("n", 20), ("m", 6))), 44): {
         "classical_adaptive": (
             67, "19ba3260c0093a749136cb69b8cb9e210a1cdd2ebde1e3e55f1cc9cba084c880",
             {"or_query": 67}, {}),
@@ -281,7 +281,7 @@ _QUERY_LOGS = {
             35, "180b18ca2db4ca183533f33e0b7d25dc78c09949c618f00e38730d9ab72e3499",
             {"or_query": 23, "charged_quantum": 12}, {"or_query": 52}),
     },
-    ("star", FamilySpec("star", 300, m=1), 51): {
+    ("star", ("star", (("n", 300), ("m", 1))), 51): {
         "classical_adaptive": (
             11, "8643367544bb20ba0a318e1437b2d8dd1b3a00f978488b20ef6df0ab98396f35",
             {"or_query": 15}, {}),
@@ -292,7 +292,7 @@ _QUERY_LOGS = {
             2, "5b5abfa8fb14c4c6bc6d44e5d2017c083a52b123e925c1c7d395ca69902a4244",
             {"or_query": 5, "charged_quantum": 1}, {"or_query": 299}),
     },
-    ("star", FamilySpec("star", 300, m=4), 54): {
+    ("star", ("star", (("n", 300), ("m", 4))), 54): {
         "classical_adaptive": (
             38, "983250da8330434acb8f99fa0bb4f2446e06535da47826f4a4daabccb54bec1e",
             {"or_query": 42}, {}),
@@ -303,7 +303,7 @@ _QUERY_LOGS = {
             2, "6f8f429eb94dbbfaa8b393a3c582f755806b0035760dff95919bc88a1a617c9b",
             {"or_query": 5, "charged_quantum": 11}, {"or_query": 299}),
     },
-    ("star", FamilySpec("star", 300, m=64), 114): {
+    ("star", ("star", (("n", 300), ("m", 64))), 114): {
         "classical_adaptive": (
             583, "6dfcf4ca1f083cf85fc342bebe318b277dbc7480dcbf43bb5f48d64efcfc7045",
             {"or_query": 587}, {}),
@@ -314,7 +314,7 @@ _QUERY_LOGS = {
             2, "7a2739a4a8e839a56668402b336b5ceaa99e6fc9d2d9e7a3e2457f002f75987c",
             {"or_query": 5, "charged_quantum": 257}, {"or_query": 299}),
     },
-    ("clique", FamilySpec("clique", 40, k=2), 62): {
+    ("clique", ("clique", (("n", 40), ("k", 2))), 62): {
         "classical_adaptive": (
             8, "bce82f7f0fc109421ab9bcb27474547d2c08a9b5672753e878c61d40fa8e1281",
             {"or_query": 13, "classical_bit_ops": 4}, {}),
@@ -325,7 +325,7 @@ _QUERY_LOGS = {
             1, "ea3bfd0b926cbc1d66ced3800272422f4e64641a861993c7a6e238cc41247af4",
             {"or_query": 5, "charged_quantum": 1, "classical_bit_ops": 4}, {"or_query": 39}),
     },
-    ("clique", FamilySpec("clique", 40, k=5), 65): {
+    ("clique", ("clique", (("n", 40), ("k", 5))), 65): {
         "classical_adaptive": (
             26, "2482b549e00948316ef0b84a4e1268e6feee46adb89cc67bd8abf54a38226f44",
             {"or_query": 35, "classical_bit_ops": 32}, {}),
@@ -336,7 +336,7 @@ _QUERY_LOGS = {
             2, "63d86e43359b0a78c980efde382149f62029d49a04d6d6bb715138e700a04184",
             {"or_query": 10, "charged_quantum": 7, "classical_bit_ops": 32}, {"or_query": 39}),
     },
-    ("clique", FamilySpec("clique", 40, k=12), 72): {
+    ("clique", ("clique", (("n", 40), ("k", 12))), 72): {
         "classical_adaptive": (
             68, "3b08743f6b971532d449edd60edf6aec02c5efdbf449ffdfd6a3c28c4f500eca",
             {"or_query": 70, "classical_bit_ops": 96}, {}),
@@ -356,15 +356,16 @@ _QUERY_LOGS = {
 def test_or_learners_query_sequence_pinned(backend):
     # every OR query mask and block query, in call order, with the ledger it
     # leaves, as recorded from the set-based learners these mask paths replace
-    for (learner, spec, seed), expected in _QUERY_LOGS.items():
-        graph = generate(spec, np.random.default_rng(seed))
+    for (learner, (kind, items), seed), expected in _QUERY_LOGS.items():
+        point = dict(items)
+        graph = generate(kind, point, np.random.default_rng(seed))
         oracle = _QueryLog(graph, np.random.default_rng(seed + 100))
         if learner == "graph":
             answer = learn_graph_or(oracle, m_hint=graph.m, backend=backend)
         elif learner == "star":
             answer = learn_star_or(oracle, backend=backend)
         else:
-            answer = learn_clique_or(oracle, k=spec.k, backend=backend)
+            answer = learn_clique_or(oracle, k=point["k"], backend=backend)
         assert answer == graph
         digest = hashlib.sha256(" ".join(oracle.log).encode()).hexdigest()
         ledger = oracle.ledger
@@ -374,7 +375,7 @@ def test_or_learners_query_sequence_pinned(backend):
             {kind: c for kind, c in ledger.counts.items() if c},
             {kind: c for kind, c in ledger.suppressed.items() if c},
         )
-        assert got == expected[backend], (learner, spec)
+        assert got == expected[backend], (learner, kind, point)
 
 
 # -- clique -------------------------------------------------------------------------

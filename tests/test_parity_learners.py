@@ -21,7 +21,7 @@ from gqlab.errors import (
     ScaleError,
     ViolationError,
 )
-from gqlab.graphs import FamilySpec, Graph, enumerate_all_graphs, generate
+from gqlab.graphs import Graph, enumerate_all_graphs, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.parity_learners import (
     _assemble,
@@ -197,7 +197,7 @@ def test_bounded_degree_recovers_scattered_cycle():
 
 @pytest.mark.parametrize("d", [1, 3, 4])
 def test_bounded_degree_recovers_graph_at_its_bound(d):
-    g = generate(FamilySpec("bounded_degree", 40, d=d, m=8 * d), np.random.default_rng(d))
+    g = generate("bounded_degree", {"n": 40, "d": d, "m": 8 * d}, np.random.default_rng(d))
     assert max(g.degree(v) for v in range(40)) == d
     for seed in range(3):
         res = learn_bounded_degree(make_oracle(g, seed=seed), d=d, m_hint=g.m)
@@ -479,7 +479,7 @@ def test_bounded_edges_refuses_before_phase_two():
     # m = 512 at n = 128 picks d = 8, and C(n', <=4) entries exceed the table
     # bound; phase 1's log2(512) + 15 samples at two parity queries each are
     # all that is spent
-    g = generate(FamilySpec("fixed_edge_count", 128, m=512), np.random.default_rng(0))
+    g = generate("fixed_edge_count", {"n": 128, "m": 512}, np.random.default_rng(0))
     h = make_oracle(g)
     with pytest.raises(ScaleError, match="table bound"):
         learn_bounded_edges_parity(h, m=512)
@@ -489,7 +489,7 @@ def test_bounded_edges_refuses_before_phase_two():
 def test_bounded_degree_decodes_past_the_old_candidate_cap():
     # C(n', <=3) is above 10^7 here, which the candidate cap refused; the
     # table holds C(n', <=2) entries and the join forms n' (n' + 1) keys
-    g = generate(FamilySpec("bounded_degree", 512, d=3, m=704), np.random.default_rng(0))
+    g = generate("bounded_degree", {"n": 512, "d": 3, "m": 704}, np.random.default_rng(0))
     nprime = sum(g.degree(v) > 0 for v in range(512))
     assert sum(math.comb(nprime, l) for l in range(4)) > 10**7
     for seed in range(2):
@@ -623,7 +623,8 @@ def test_bounded_edges_refuses_an_answer_its_samples_contradict():
     # without it is symmetric but contradicts the phase-2 samples
     ss = np.random.SeedSequence(11510, spawn_key=(1, 2))
     rng = np.random.Generator(np.random.Philox(ss))
-    h, g, _ = harness._instance("fixed_edge_count", {"n": 128, "m": 16}, rng, QueryLedger())
+    draw = harness.FAMILIES["fixed_edge_count"].draw
+    h, g, _ = draw({"n": 128, "m": 16}, rng, QueryLedger())
     assert g.has_edge(32, 53)
     with pytest.raises(AmbiguityError, match="contradicts"):
         learn_bounded_edges_parity(h, m=16, slack=0)

@@ -7,7 +7,7 @@ import pytest
 
 from gqlab.errors import ScaleError
 from gqlab.fourier import bv_with_size_oracle, is_monotone, relevant_variables
-from gqlab.graphs import FamilySpec, Graph, generate
+from gqlab.graphs import Graph, generate
 from statevector import (
     MAX_BELL_QUBITS,
     Statevector,
@@ -48,13 +48,13 @@ class TestGraphState:
 
     def test_amplitude_magnitudes_uniform(self):
         for _ in range(10):
-            g = generate(FamilySpec("fixed_edge_count", n=5, m=int(rng.integers(0, 10))), rng)
+            g = generate("fixed_edge_count", {"n": 5, "m": int(rng.integers(0, 10))}, rng)
             psi = build_graph_state(g)
             np.testing.assert_allclose(np.abs(psi.amps), 2 ** -2.5)
 
     def test_stabilizer_eigenstate(self):
         for _ in range(10):
-            g = generate(FamilySpec("fixed_edge_count", n=5, m=6), rng)
+            g = generate("fixed_edge_count", {"n": 5, "m": 6}, rng)
             psi = build_graph_state(g)
             for v in range(g.n):
                 chars = ["I"] * g.n
@@ -95,7 +95,7 @@ class TestBellDistribution:
 
     def test_graph_states_are_uniform_over_2n_strings(self):
         for _ in range(5):
-            g = generate(FamilySpec("fixed_edge_count", n=4, m=int(rng.integers(0, 7))), rng)
+            g = generate("fixed_edge_count", {"n": 4, "m": int(rng.integers(0, 7))}, rng)
             dist = bell_distribution(build_graph_state(g))
             support = [o for o in dist if o.probability > 1e-12]
             assert len(support) == 2**4
@@ -121,7 +121,7 @@ class TestBellDistribution:
         # graph states give exactly the reference floats, so the zero-probability
         # outcomes stay exactly 0; a random state agrees to rounding
         for n, m in [(1, 0), (2, 1), (3, 1), (3, 3), (5, 4), (6, 7)]:
-            psi = build_graph_state(generate(FamilySpec("fixed_edge_count", n=n, m=m), rng))
+            psi = build_graph_state(generate("fixed_edge_count", {"n": n, "m": m}, rng))
             got = [(o.pauli, o.probability) for o in bell_distribution(psi)]
             assert got == self.per_outcome_reference(psi)
         psi = random_state(4)
