@@ -10,7 +10,6 @@ from gqlab.errors import (
 )
 from gqlab.f2 import matvec, rank, random_matrix, solve
 from gqlab.fourier import (
-    bv_with_size_oracle,
     exact_half_coefficient_01,
     exact_half_level_weights,
     fourier_table,
@@ -68,7 +67,6 @@ __all__ = [
     "ScaleError",
     "ViolationError",
     "adversary_instance",
-    "bv_with_size_oracle",
     "cgt_solve",
     "config_from_json",
     "emit",

@@ -1,5 +1,4 @@
-"""Fourier tables, closed forms for symmetric functions, junta learners, and
-the exact-phase recovery of a monotone junta's variables (``bv_with_size_oracle``).
+"""Fourier tables, closed forms for symmetric functions, and the junta learner.
 
 Two coefficient conventions appear.  ``fourier_table`` works with the
 +/-1-valued function (-1)^g, whose squared coefficients form the Fourier
@@ -32,15 +31,9 @@ __all__ = [
     "exact_half_level_weights",
     "exact_half_level_weights_pm1",
     "learn_symmetric_junta",
-    "BVResult",
-    "MAX_BV_QUBITS",
-    "bv_with_size_oracle",
-    "relevant_variables",
-    "is_monotone",
 ]
 
 MAX_TABLE_VARS = 20
-MAX_BV_QUBITS = 14
 
 
 def _fwht(vec: np.ndarray) -> np.ndarray:
@@ -229,80 +222,3 @@ def learn_symmetric_junta(
     raise RetryBudgetError(
         f"{successes}/{r} amplified samples after {4 * r} rounds"
     )
-
-
-# -- exact-phase recovery ------------------------------------------------------
-
-@dataclass(frozen=True)
-class BVResult:
-    """Outcome of one run of the exact-phase recovery routine."""
-
-    ok: bool
-    recovered: frozenset[int] | None
-    fail_flag: bool
-
-
-def relevant_variables(truth: Sequence[int], n: int) -> list[int]:
-    """Variables on which f genuinely depends."""
-    table = np.asarray(truth, dtype=np.int8)
-    idx = np.arange(1 << n)
-    out = []
-    for v in range(n):
-        if np.any(table[idx] != table[idx ^ (1 << v)]):
-            out.append(v)
-    return out
-
-
-def is_monotone(truth: Sequence[int], n: int) -> bool:
-    table = np.asarray(truth, dtype=np.int8)
-    idx = np.arange(1 << n)
-    for v in range(n):
-        low = (idx >> v) & 1 == 0
-        if np.any(table[idx[low]] > table[idx[low] ^ (1 << v)]):
-            return False
-    return True
-
-
-def bv_with_size_oracle(
-    truth: Sequence[int],
-    n: int,
-    rng: np.random.Generator,
-    delta: float | Sequence[float] = 0.0,
-) -> BVResult:
-    """Recover the relevant-variable set of a monotone junta in one round.
-
-    Uses the exact intersection-size phase state: amplitudes proportional to
-    (-1)^{|S ∩ T|} over all T, Hadamard-transformed back to the indicator of
-    S.  ``delta`` models a per-subset damping of the good branch: the flag
-    register then fails with probability 1 - mean((1-delta)^2), and the
-    conditional output may differ from S.
-    """
-    if n > MAX_BV_QUBITS:
-        raise ScaleError(f"exact-phase recovery capped at {MAX_BV_QUBITS} qubits")
-    table = np.asarray(truth, dtype=np.int8)
-    if table.shape != (1 << n,):
-        raise ValueError("truth table must have length 2**n")
-    if not is_monotone(table, n):
-        raise ValueError("truth table is not monotone")
-    s_mask = 0
-    for v in relevant_variables(table, n):
-        s_mask |= 1 << v
-
-    damp = np.asarray(delta, dtype=np.float64)
-    if damp.ndim == 0:
-        damp = np.full(1 << n, float(damp))
-    if damp.shape != (1 << n,) or np.any(damp < 0) or np.any(damp >= 1):
-        raise ValueError("delta must be scalar or per-subset values in [0, 1)")
-
-    good = 1.0 - damp
-    p_flag_ok = float(np.mean(good**2))
-    if rng.random() >= p_flag_ok:
-        return BVResult(ok=False, recovered=None, fail_flag=True)
-
-    signs = 1.0 - 2.0 * (_subset_sizes(n)[np.arange(1 << n) & s_mask] & 1)
-    vec = good * signs
-    vec = vec / np.linalg.norm(vec)
-    probs = (_fwht(vec) / np.sqrt(1 << n)) ** 2
-    outcome = int(rng.choice(1 << n, p=probs / probs.sum()))
-    support = frozenset(v for v in range(n) if (outcome >> v) & 1)
-    return BVResult(ok=outcome == s_mask, recovered=support, fail_flag=False)

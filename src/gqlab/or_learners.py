@@ -9,13 +9,15 @@ class is prepared for group testing once (the prefix ORs of its vertices in
 class order), and every class pair runs through one core: one query on the
 pair's union, the active vertices of one class searched with the other
 class as the base, then each active vertex's neighbors searched in the
-other class.  Classical searches test with ``GraphOracle.or_query`` itself;
-quantum backends answer through ``cgt.quantum_search`` on the side's mask.
-``learn_bipartite_edges`` and ``find_nonisolated`` prepare their sides and
-run the same core.  Specialists for promised cliques and stars ride Fourier
-samples of the OR function to beat the classical query counts; they keep
-their vertex sets as masks from the verification query to the answer.
-Every learner here answers with the ``Graph`` it recovered.
+other class; the merge tree sets each active vertex's neighbor mask
+straight into the rows.  Classical searches test with
+``GraphOracle.or_query`` itself; quantum backends answer through
+``cgt.quantum_search`` on the side's mask.  ``learn_bipartite_edges`` and
+``find_nonisolated`` prepare their sides and run the same core.
+Specialists for promised cliques and stars ride Fourier samples of the OR
+function to beat the classical query counts; they keep their vertex sets
+as masks from the verification query to the answer.  Every learner here
+answers with the ``Graph`` it recovered.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ __all__ = [
     "find_nonisolated",
     "learn_bipartite_edges",
     "greedy_coloring",
-    "learn_cross_edges_colored",
     "learn_merge_tree",
     "peel_independent_sets",
     "learn_graph_or",
@@ -111,10 +112,6 @@ def _cross_pair(
     return out
 
 
-def _edges(pairs: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    return [(a, b) if a < b else (b, a) for a, hits in pairs for b in f2.support(hits)]
-
-
 def find_nonisolated(
     oracle: GraphOracle,
     side: Sequence[int],
@@ -151,7 +148,8 @@ def learn_bipartite_edges(
     b_side = list(b_side)
     if not a_side or not b_side:
         return []
-    return _edges(_cross_pair(oracle, prepare(a_side), prepare(b_side), backend))
+    pairs = _cross_pair(oracle, prepare(a_side), prepare(b_side), backend)
+    return [(a, b) if a < b else (b, a) for a, hits in pairs for b in f2.support(hits)]
 
 
 def greedy_coloring(vertices: Sequence[int], rows: Sequence[int]) -> list[list[int]]:
@@ -215,31 +213,6 @@ def greedy_coloring(vertices: Sequence[int], rows: Sequence[int]) -> list[list[i
     return classes
 
 
-def learn_cross_edges_colored(
-    oracle: GraphOracle,
-    x_side: Sequence[int],
-    y_side: Sequence[int],
-    rows: Sequence[int],
-    backend: str = "classical_adaptive",
-) -> list[tuple[int, int]]:
-    """All edges between two blocks whose internal edges are already known.
-
-    Each block is colored by its subgraph in ``rows``, one word per vertex,
-    so every queried class is a genuine independent set.  Each class is
-    prepared once and searched against every class of the other block.
-    Returns the cross edges; ``rows`` is left as it is.
-    """
-    if not x_side or not y_side:
-        return []
-    x_classes = [prepare(c) for c in greedy_coloring(x_side, rows)]
-    y_classes = [prepare(c) for c in greedy_coloring(y_side, rows)]
-    pairs = []
-    for xc in x_classes:
-        for yc in y_classes:
-            pairs += _cross_pair(oracle, xc, yc, backend)
-    return _edges(pairs)
-
-
 def learn_merge_tree(
     oracle: GraphOracle,
     parts: Sequence[Sequence[int]],
@@ -247,10 +220,13 @@ def learn_merge_tree(
 ) -> list[int]:
     """Merge independent parts pairwise until one block holds every edge.
 
-    Returns one row word per vertex, into which each level's cross edges
-    are set.  The invariant: a block's internal edges are fully known, so
-    its coloring in the next round is proper.  Parts are padded with empty
-    blocks to a power of two.
+    Returns one row word per vertex.  Each merge colors both blocks by
+    their subgraphs in the rows, so every queried class is a genuine
+    independent set, prepares each class once, runs every class pair
+    through ``_cross_pair`` and sets the pairs it finds into the rows.  The
+    invariant: a block's internal edges are fully known, so its coloring in
+    the next round is proper.  Parts are padded with empty blocks to a
+    power of two.
     """
     rows = [0] * oracle.n
     blocks = [list(p) for p in parts]
@@ -259,9 +235,15 @@ def learn_merge_tree(
     while len(blocks) > 1:
         merged = []
         for xv, yv in zip(blocks[::2], blocks[1::2]):
-            for u, v in learn_cross_edges_colored(oracle, xv, yv, rows, backend=backend):
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
+            # an empty block has no classes, so its merge asks nothing
+            x_classes = [prepare(c) for c in greedy_coloring(xv, rows)]
+            y_classes = [prepare(c) for c in greedy_coloring(yv, rows)]
+            for xc in x_classes:
+                for yc in y_classes:
+                    for a, hits in _cross_pair(oracle, xc, yc, backend):
+                        rows[a] |= hits
+                        for b in f2.support(hits):
+                            rows[b] |= 1 << a
             merged.append(xv + yv)
         blocks = merged
     return rows
@@ -374,7 +356,6 @@ def learn_clique_or(
 def learn_star_or(
     oracle: GraphOracle,
     backend: str = "quantum_ideal",
-    rounds_cap: int = 20,
 ) -> Graph:
     """Learn a hidden star (all edges share one endpoint, at least one edge).
 
@@ -386,7 +367,7 @@ def learn_star_or(
     """
     n = oracle.n
     full = (1 << n) - 1
-    for _ in range(rounds_cap):
+    for _ in range(20):
         tallies: dict[int, int] = {}
         for _ in range(4):
             outcome = oracle.fourier_sample_or()
@@ -400,7 +381,7 @@ def learn_star_or(
         if oracle.or_query(others) == 0:
             break
     else:
-        raise RetryBudgetError(f"no verified center in {rounds_cap} rounds")
+        raise RetryBudgetError("no verified center in 20 rounds")
 
     leaves = _search_mask(oracle, others, 1 << candidate, backend)
     if not leaves:

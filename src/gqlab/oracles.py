@@ -200,17 +200,16 @@ class GraphOracle:
 
         With ``restrict`` the function is first restricted to those vertices
         (everything else pinned to 0), i.e. the OR function of the induced
-        subgraph.
+        subgraph.  A vertex outside 0..n-1, or more than ``MAX_WHT_VARS``
+        edge ends inside the restriction, raises before charging.
         """
-        self.ledger.charge("or_query")
         if restrict is None:
             center = self._star_center
             if center is not None:
+                self.ledger.charge("or_query")
                 return self._fourier_star(center)
-            vertices = range(self.n)
-        else:
-            vertices = sorted(set(restrict))
-        return self._fourier_brute(vertices)
+            return self._fourier_brute((1 << self.n) - 1)
+        return self._fourier_brute(f2.from_support(restrict, self.n))
 
     @cached_property
     def _star_center(self) -> int | None:
@@ -239,9 +238,8 @@ class GraphOracle:
                 out.add(leaf)
         return frozenset(out)
 
-    def _fourier_brute(self, vertices: Iterable[int]) -> frozenset[int]:
+    def _fourier_brute(self, inside: int) -> frozenset[int]:
         adj = self._graph.adj_bits
-        inside = sum(1 << v for v in map(operator.index, vertices) if 0 <= v < self.n)
         # the edges (u, v), u < v, with both ends inside, read off the rows
         edges = []
         ends = 0
@@ -250,11 +248,12 @@ class GraphOracle:
             ends |= row
             edges.extend((u, v) for v in f2.support(row) if v > u)
         relevant = f2.support(ends)
-        if not relevant:
-            return frozenset()
         t = len(relevant)
         if t > MAX_WHT_VARS:
             raise ScaleError(f"brute Fourier sampling limited to {MAX_WHT_VARS} touched vertices")
+        self.ledger.charge("or_query")
+        if not relevant:
+            return frozenset()
         pos = {v: j for j, v in enumerate(relevant)}
         idx = np.arange(1 << t, dtype=np.uint32)
         hit = np.zeros(1 << t, dtype=bool)

@@ -551,7 +551,7 @@ def learn_arbitrary_parity(h: GraphOracle) -> Graph:
 # -- promised shapes from state samples ----------------------------------------------------
 
 
-def learn_star_graphstate(h: GraphOracle, cap: int = 200) -> Graph:
+def learn_star_graphstate(h: GraphOracle) -> Graph:
     """Learn a star from X-basis measurements.
 
     Each sample lands on one of four equiprobable outcomes: zero, the
@@ -563,7 +563,7 @@ def learn_star_graphstate(h: GraphOracle, cap: int = 200) -> Graph:
     """
     center = None
     pattern = 0
-    for _ in range(cap):
+    for _ in range(200):
         z = h.hadamard_sample()
         w = z.bit_count()
         if w == 1:
@@ -572,7 +572,7 @@ def learn_star_graphstate(h: GraphOracle, cap: int = 200) -> Graph:
             pattern = z
         if center is not None and pattern:
             return Graph.star(h.n, center, f2.support(pattern & ~(1 << center)))
-    raise RetryBudgetError(f"center or leaf pattern still unseen after {cap} samples")
+    raise RetryBudgetError("center or leaf pattern still unseen after 200 samples")
 
 
 def learn_clique_graphstate(h: GraphOracle) -> Graph:

@@ -3,7 +3,9 @@
 Basis states are indexed by integers; bit ``v`` of the index is the value of
 qubit ``v``.  Everything here is exact and deliberately capped at sizes where
 dense simulation is instant, so the fast analytic samplers in ``gqlab`` can
-be validated against an independent route.
+be validated against an independent route.  The exact-phase recovery of a
+monotone junta's variables (``bv_with_size_oracle``), the routine behind the
+charged cost of time-efficient group testing, is simulated here too.
 """
 
 from __future__ import annotations
@@ -26,10 +28,16 @@ __all__ = [
     "pauli_string",
     "bell_distribution",
     "fourier_sampling_distribution",
+    "BVResult",
+    "MAX_BV_QUBITS",
+    "bv_with_size_oracle",
+    "relevant_variables",
+    "is_monotone",
 ]
 
 MAX_STATE_QUBITS = 16
 MAX_BELL_QUBITS = 8
+MAX_BV_QUBITS = 14
 
 
 def _bit_parity(values: np.ndarray) -> np.ndarray:
@@ -166,3 +174,70 @@ def fourier_sampling_distribution(truth: Sequence[int], n: int) -> np.ndarray:
     amps = np.where(table, -1.0, 1.0).astype(np.complex128) / np.sqrt(1 << n)
     probs = np.abs(_hadamard_all(amps, n)) ** 2
     return probs
+
+
+# -- exact-phase recovery ------------------------------------------------------
+
+@dataclass(frozen=True)
+class BVResult:
+    """Outcome of one run of the exact-phase recovery routine."""
+
+    ok: bool
+    recovered: frozenset[int] | None
+    fail_flag: bool
+
+
+def relevant_variables(truth: Sequence[int], n: int) -> list[int]:
+    """Variables on which f genuinely depends."""
+    table = np.asarray(truth, dtype=np.int8)
+    idx = np.arange(1 << n)
+    return [v for v in range(n) if np.any(table != table[idx ^ (1 << v)])]
+
+
+def is_monotone(truth: Sequence[int], n: int) -> bool:
+    """True iff setting any one bit never lowers f."""
+    table = np.asarray(truth, dtype=np.int8)
+    idx = np.arange(1 << n)
+    return all(np.all(table <= table[idx | (1 << v)]) for v in range(n))
+
+
+def bv_with_size_oracle(
+    truth: Sequence[int],
+    n: int,
+    rng: np.random.Generator,
+    delta: float | Sequence[float] = 0.0,
+) -> BVResult:
+    """Recover the relevant-variable set of a monotone junta in one round.
+
+    Uses the exact intersection-size phase state: amplitudes proportional to
+    (-1)^{|S ∩ T|} over all T, Hadamard-transformed back to the indicator of
+    S.  ``delta`` models a per-subset damping of the good branch: the flag
+    register then fails with probability 1 - mean((1-delta)^2), and the
+    conditional output may differ from S.
+    """
+    if n > MAX_BV_QUBITS:
+        raise ScaleError(f"exact-phase recovery capped at {MAX_BV_QUBITS} qubits")
+    table = np.asarray(truth, dtype=np.int8)
+    if table.shape != (1 << n,):
+        raise ValueError("truth table must have length 2**n")
+    if not is_monotone(table, n):
+        raise ValueError("truth table is not monotone")
+    s_mask = sum(1 << v for v in relevant_variables(table, n))
+
+    damp = np.asarray(delta, dtype=np.float64)
+    if damp.ndim == 0:
+        damp = np.full(1 << n, float(damp))
+    if damp.shape != (1 << n,) or np.any(damp < 0) or np.any(damp >= 1):
+        raise ValueError("delta must be scalar or per-subset values in [0, 1)")
+
+    good = 1.0 - damp
+    p_flag_ok = float(np.mean(good**2))
+    if rng.random() >= p_flag_ok:
+        return BVResult(ok=False, recovered=None, fail_flag=True)
+
+    idx = np.arange(1 << n, dtype=np.uint64)
+    vec = good * (1.0 - 2.0 * _bit_parity(idx & np.uint64(s_mask)))
+    probs = np.abs(_hadamard_all(vec / np.linalg.norm(vec), n)) ** 2
+    outcome = int(rng.choice(1 << n, p=probs / probs.sum()))
+    support = frozenset(v for v in range(n) if (outcome >> v) & 1)
+    return BVResult(ok=outcome == s_mask, recovered=support, fail_flag=False)

@@ -21,7 +21,6 @@ from gqlab.cgt import BACKENDS, cgt_solve
 from gqlab.errors import AmbiguityError
 from gqlab.f2 import random_matrix
 from gqlab.fourier import (
-    bv_with_size_oracle,
     exact_half_coefficient_01,
     exact_half_level_weights,
     fourier_table,
@@ -39,6 +38,7 @@ from gqlab.oracles import GraphOracle, JuntaOracle, QueryLedger
 from statevector import (
     bell_distribution,
     build_graph_state,
+    bv_with_size_oracle,
     fourier_sampling_distribution,
 )
 

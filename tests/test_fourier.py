@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gqlab.errors import RetryBudgetError, ScaleError
 from gqlab.fourier import (
     FourierTable,
-    bv_with_size_oracle,
     exact_half_coefficient_01,
     exact_half_level_weights,
     exact_half_level_weights_pm1,
@@ -22,6 +21,7 @@ from gqlab.fourier import (
     maj_level_weights,
     maj_truth,
 )
+from statevector import bv_with_size_oracle
 
 
 def popcount_u32(arr):

@@ -445,8 +445,8 @@ def test_learn_star_charges():
 
 def test_learn_star_empty_graph_budget_error():
     g = Graph(6, [])
-    with pytest.raises(RetryBudgetError):
-        learn_star_or(fresh(g, 21), rounds_cap=3)
+    with pytest.raises(RetryBudgetError, match="in 20 rounds"):
+        learn_star_or(fresh(g, 21))
 
 
 # -- backend names --------------------------------------------------------------------

@@ -386,6 +386,20 @@ def test_fourier_brute_scale_cap():
         oracle.fourier_sample_or()
 
 
+def test_fourier_sample_or_refuses_before_charging():
+    # out-of-range vertices and the scale cap raise before the ledger or the
+    # generator moves
+    oracle = GraphOracle(Graph(30, [(i, i + 1) for i in range(29)]), np.random.default_rng(61))
+    state = oracle.rng.bit_generator.state
+    for error, restrict in (
+        (ValueError, [0, 30]), (ValueError, [-1, 0]), (ScaleError, None), (ScaleError, range(30))
+    ):
+        with pytest.raises(error):
+            oracle.fourier_sample_or(restrict=restrict)
+        assert oracle.ledger.counts == oracle.ledger.suppressed == QueryLedger().counts
+        assert oracle.rng.bit_generator.state == state
+
+
 # -- reveals ---------------------------------------------------------------------
 
 def test_reveals_are_audited():

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from gqlab.errors import ScaleError
-from gqlab.fourier import bv_with_size_oracle, is_monotone, relevant_variables
 from gqlab.graphs import Graph, generate
 from statevector import (
     MAX_BELL_QUBITS,
@@ -14,8 +13,11 @@ from statevector import (
     apply_pauli_string,
     bell_distribution,
     build_graph_state,
+    bv_with_size_oracle,
     fourier_sampling_distribution,
+    is_monotone,
     pauli_string,
+    relevant_variables,
 )
 
 rng = np.random.default_rng(99)
@@ -201,6 +203,13 @@ class TestSizeOracleRecovery:
         xor = [bin(x).count("1") % 2 for x in range(16)]
         with pytest.raises(ValueError):
             bv_with_size_oracle(xor, 4, rng)
+
+    def test_size_length_and_delta_refused(self):
+        with pytest.raises(ScaleError):
+            bv_with_size_oracle([0] * (1 << 15), 15, rng)
+        for table, delta in (([0] * 8, 0.0), ([0] * 16, -0.1), ([0] * 16, 1.0), ([0] * 16, [0.0] * 8)):
+            with pytest.raises(ValueError, match="length|delta"):
+                bv_with_size_oracle(table, 4, rng, delta=delta)
 
     def test_constant_damping_failure_rate(self):
         # flag fails with rate 1 - (1-d)^2 = 2d - d^2; conditional output is
