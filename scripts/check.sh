@@ -6,7 +6,7 @@
 #      scripts/presets.sha256;
 #   3. the benchmark's own tests (perfbench/), in a process of their own:
 #      the traced-pass test needs a cold small-graph cache;
-#   4. the line count of src/gqlab.
+#   4. the line counts of src/gqlab and of tests/*.py.
 #
 #   scripts/check.sh             takes no flags
 set -u
@@ -32,4 +32,6 @@ step scripts/run_all.sh --check
 step python3 -m pytest perfbench -q
 echo "== src/gqlab lines"
 cat src/gqlab/*.py | wc -l
+echo "== tests/*.py lines"
+cat tests/*.py | wc -l
 exit $status

@@ -1,14 +1,15 @@
 """Group testing: adaptive search with classical and quantum cost models.
 
-The adaptive search only needs a membership test on subsets of a universe of
-int item ids, each subset passed as an int mask with one bit per item.  It
-runs in two steps.  ``prepare`` turns the universe into its prefix ORs once,
-checking that the items are distinct; ``search`` then finds the positives of
-a prepared universe as often as a caller needs, ORing the caller's ``base``
-mask into every test, so one universe can be searched against many bases
-without being rebuilt.  A search over N items with k positives costs
-O(N + k log N) mask operations.  ``cgt_solve`` is prepare-then-search with
-an empty base.
+A universe of int item ids is an int mask with one bit per item, and the
+positives come back as a mask.  The adaptive search only needs a membership
+test on submasks.  It runs in two steps.  ``prepare`` turns an ordered item
+list into its prefix ORs once, checking that the items are distinct;
+``search`` then finds the positives of a prepared universe as often as a
+caller needs, ORing the caller's ``base`` mask into every test, so one
+universe can be searched against many bases without being rebuilt.  A search
+over N items with k positives costs O(N + k log N) mask operations.
+``cgt_solve`` is prepare-then-search over a universe mask's set bits in
+ascending order, with an empty base.
 Quantum backends do not search.  ``quantum_search`` takes the universe as
 one mask and reads its positives, as a mask, from the caller's block form,
 which answers every single-item test of the universe at once, with ledger
@@ -138,34 +139,35 @@ def quantum_search(
 
 
 def cgt_solve(
-    universe: Sequence[int],
+    universe: int,
     test: Callable[[int], bool],
     k: int | None = None,
     backend: str = "classical_adaptive",
     ledger: QueryLedger | None = None,
     block: Callable[[int], int] | None = None,
-) -> frozenset:
-    """Identify every positive item, spending queries per the chosen backend.
+) -> int:
+    """The mask of the positives in the mask ``universe``, spending queries
+    per the chosen backend.
 
-    ``universe`` holds distinct nonnegative int item ids.  ``test`` takes an
-    int mask whose set bits are item ids and reports whether that subset
-    contains a positive; callers route it through their charged oracle.
-    ``k``, when given, is a promise on the positive count: the solver still
-    verifies and raises if the promise is broken.  Quantum backends require
-    ``block`` and the ledger it charges into: ``block(items)`` returns the
-    mask of the items x whose single-item test ``test(1 << x)`` is positive,
-    charging one test per item.  They answer through ``quantum_search`` on
-    the universe's mask; ``test`` is never called.
+    ``test`` takes a submask and reports whether it holds a positive;
+    callers route it through their charged oracle.  ``k``, when given, is a
+    promise on the positive count: any other count raises ViolationError.
+    Quantum backends require ``block`` and the ledger it charges into:
+    ``block(items)`` returns the mask of the items whose single-item test is
+    positive, charging one test per item.  They answer through
+    ``quantum_search``; ``test`` is never called.
     """
     if backend not in BACKENDS:
         raise ValueError(f"unknown backend {backend!r}")
     if k is not None and k < 0:
         raise ValueError("k must be nonnegative")
-    if backend == "classical_adaptive":
-        return frozenset(f2.support(search(prepare(universe), test, k)))
-    if ledger is None or block is None:
-        raise ValueError("quantum backends need the block form and its ledger")
-    items = sum(1 << operator.index(x) for x in universe)
-    if items.bit_count() != len(universe):
-        raise ValueError("universe items must be distinct")
-    return frozenset(f2.support(quantum_search(items, block, ledger, k, backend)))
+    if universe < 0:
+        raise ValueError("universe must be a nonnegative mask")
+    if backend != "classical_adaptive":
+        if ledger is None or block is None:
+            raise ValueError("quantum backends need the block form and its ledger")
+        return quantum_search(universe, block, ledger, k, backend)
+    found = search(prepare(f2.support(universe)), test, k)
+    if k is not None and found.bit_count() != k:
+        raise ViolationError(f"promised {k} positives, found {found.bit_count()}")
+    return found

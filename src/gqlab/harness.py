@@ -27,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from gqlab import cgt as cgt_mod
-from gqlab import or_learners, parity_learners
+from gqlab import f2, or_learners, parity_learners
 from gqlab.errors import GqlabError, ViolationError
 from gqlab.fourier import learn_symmetric_junta, maj_level_weights
 from gqlab.graphs import Graph, enumerate_all_graphs, generate
@@ -228,7 +228,7 @@ class Family:
     ``side`` is what the learner is told besides the oracle: the candidate
     tuple for ``all_small_graphs``, the known supergraph for
     ``matching_union``, the ledger group testing bills for ``defect_set``,
-    and None otherwise.
+    and None otherwise; ``defect_set`` hides the mask of its defects.
     """
 
     keys: tuple[str, ...]
@@ -272,17 +272,17 @@ def _draw_matching_union(point, rng, ledger):
 
 
 def _draw_defect_set(point, rng, ledger):
-    """A hidden ``k``-subset of ``n`` items behind ``cgt_solve``'s test and block."""
-    hidden = frozenset(rng.choice(point["n"], size=point["k"], replace=False).tolist())
-    hidden_mask = sum(1 << v for v in hidden)
+    """The mask of ``k`` hidden items of ``n``, behind ``cgt_solve``'s test and block."""
+    n = point["n"]
+    hidden = f2.from_support(rng.choice(n, size=point["k"], replace=False).tolist(), n)
 
     def test(items):
         ledger.charge("or_query")
-        return items & hidden_mask != 0
+        return items & hidden != 0
 
     def block(items):
         ledger.charge("or_query", items.bit_count())
-        return items & hidden_mask
+        return items & hidden
 
     return (test, block), hidden, ledger
 
@@ -324,11 +324,11 @@ class Learner:
     ``solve(oracle, hidden, point, cfg, side)`` runs the learner; it reads
     ``hidden`` only for the ``m_hint`` default.  A trial succeeds when the
     answer equals ``hidden``, so a graph learner answers with a ``Graph``,
-    ``cgt`` with the defect set and the junta learner with its support.
+    ``cgt`` with the defect mask and the junta learner with its support.
     ``metric`` is the ledger counter the summary averages (terms summed
     with ``+``).  ``columns`` names the point keys echoed into the
     ``d``/``k`` CSV columns; ``m`` is the hidden graph's edge count (empty
-    for defect sets and juntas).  A trial that raises a
+    for defect masks and juntas).  A trial that raises a
     :class:`GqlabError` echoes the point's own ``m``, ``d`` and ``k``.
     ``needs`` names the point keys ``solve`` reads without a default and
     ``optional`` those it reads with one.
@@ -403,7 +403,7 @@ LEARNERS = {
     "cgt": Learner(
         ("defect_set",), "charged_quantum",
         lambda tests, defects, p, cfg, ledger: cgt_mod.cgt_solve(
-            list(range(p["n"])), tests[0], k=p["k"] if p.get("known_k") else None,
+            (1 << p["n"]) - 1, tests[0], k=p["k"] if p.get("known_k") else None,
             backend=cfg.backend, ledger=ledger, block=tests[1]),
         columns=("k",), needs=("k",), optional=("known_k",)),
     "junta_symmetric": Learner(

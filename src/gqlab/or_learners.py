@@ -12,12 +12,13 @@ class as the base, then each active vertex's neighbors searched in the
 other class; the merge tree sets each active vertex's neighbor mask
 straight into the rows.  Classical searches test with
 ``GraphOracle.or_query`` itself; quantum backends answer through
-``cgt.quantum_search`` on the side's mask.  ``learn_bipartite_edges`` and
-``find_nonisolated`` prepare their sides and run the same core.
+``cgt.quantum_search`` on the side's mask.  ``learn_bipartite_edges``
+prepares its sides and runs the same core.
 Specialists for promised cliques and stars ride Fourier samples of the OR
 function to beat the classical query counts; they keep their vertex sets
-as masks from the verification query to the answer.  Every learner here
-answers with the ``Graph`` it recovered.
+as masks from the verification query to the answer, and group-test the
+other vertices with ``cgt.cgt_solve`` against the center's or anchor's bit.
+Every learner here answers with the ``Graph`` it recovered.
 """
 
 from __future__ import annotations
@@ -26,15 +27,12 @@ import math
 from typing import Sequence
 
 from gqlab import f2
-from gqlab.cgt import prepare, quantum_search, search
-# no learner here calls cgt_solve; the benchmark's span table still looks it up here
-from gqlab.cgt import cgt_solve  # noqa: F401
+from gqlab.cgt import cgt_solve, prepare, quantum_search, search
 from gqlab.errors import RetryBudgetError, ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle
 
 __all__ = [
-    "find_nonisolated",
     "learn_bipartite_edges",
     "greedy_coloring",
     "learn_merge_tree",
@@ -43,32 +41,6 @@ __all__ = [
     "learn_clique_or",
     "learn_star_or",
 ]
-
-
-def _search_mask(
-    oracle: GraphOracle,
-    universe: int,
-    base: int,
-    backend: str,
-    k: int | None = None,
-) -> int:
-    """The mask of the vertices x of the mask ``universe`` for which
-    base | 1 << x induces an edge.
-
-    The classical backend prepares the universe and searches it with the OR
-    query itself; quantum backends read every vertex's answer from one
-    ``or_block_query``.  ``k`` is a promised count: more positives raise
-    ViolationError on every backend, and quantum backends refuse fewer too.
-    """
-    if backend == "classical_adaptive":
-        return search(prepare(f2.support(universe)), oracle.or_query, k, base)
-    return quantum_search(
-        universe,
-        lambda items: oracle.or_block_query(base, items),
-        oracle.ledger,
-        k,
-        backend,
-    )
 
 
 def _find(oracle: GraphOracle, side: list[int], base: int, backend: str) -> int:
@@ -81,26 +53,18 @@ def _find(oracle: GraphOracle, side: list[int], base: int, backend: str) -> int:
     )
 
 
-def _actives(oracle: GraphOracle, side: list[int], other: int, backend: str) -> int:
-    """The mask of the vertices of a prepared side with a neighbor in the
-    mask ``other``; a whole side coming back active is rechecked."""
-    found = _find(oracle, side, other, backend)
-    mask = side[-1]
-    if found == mask:
-        if oracle.or_query(other) or oracle.or_query(mask):
-            raise ViolationError("a queried side is not an independent set")
-    return found
-
-
 def _cross_pair(
     oracle: GraphOracle, a_side: list[int], b_side: list[int], backend: str
 ) -> list[tuple[int, int]]:
     """(a, mask of a's neighbors in b_side) for every active a of a_side, in
-    increasing order, between two prepared independent sides."""
-    b_mask = b_side[-1]
-    if not oracle.or_query(a_side[-1] | b_mask):
+    increasing order, between two prepared independent sides; a whole side
+    coming back active is rechecked."""
+    a_mask, b_mask = a_side[-1], b_side[-1]
+    if not oracle.or_query(a_mask | b_mask):
         return []
-    actives = _actives(oracle, a_side, b_mask, backend)
+    actives = _find(oracle, a_side, b_mask, backend)
+    if actives == a_mask and (oracle.or_query(b_mask) or oracle.or_query(a_mask)):
+        raise ViolationError("a queried side is not an independent set")
     out = []
     while actives:
         low = actives & -actives
@@ -110,26 +74,6 @@ def _cross_pair(
         out.append((low.bit_length() - 1, hits))
         actives ^= low
     return out
-
-
-def find_nonisolated(
-    oracle: GraphOracle,
-    side: Sequence[int],
-    other: Sequence[int],
-    backend: str = "classical_adaptive",
-) -> frozenset[int]:
-    """All vertices of ``side`` with a neighbor in ``other``.
-
-    Both sides must be independent sets; each membership test is a single
-    edge-existence query on a subset of ``side`` joined with all of
-    ``other``.  A result claiming the entire side triggers a two-query
-    independence recheck, the cheap place to catch a broken contract.
-    """
-    side = list(side)
-    other_mask = f2.from_support(other, oracle.n)
-    if not side or not other_mask:
-        return frozenset()
-    return frozenset(f2.support(_actives(oracle, prepare(side), other_mask, backend)))
 
 
 def learn_bipartite_edges(
@@ -343,11 +287,15 @@ def learn_clique_or(
     if anchor is None:
         raise RetryBudgetError("no informative Fourier sample in 200 rounds")
 
-    rest = ((1 << n) - 1) ^ 1 << anchor
-    others = _search_mask(oracle, rest, 1 << anchor, backend, k=k - 1)
-    members = f2.support(others)
-    if len(members) != k - 1:
-        raise ViolationError("clique promise broken: wrong member count")
+    bit = 1 << anchor
+    members = f2.support(cgt_solve(
+        ((1 << n) - 1) ^ bit,
+        lambda s: oracle.or_query(bit | s),
+        k=k - 1,
+        backend=backend,
+        ledger=oracle.ledger,
+        block=lambda items: oracle.or_block_query(bit, items),
+    ))
     if len(members) >= 2 and oracle.or_query(members[:2]) != 1:
         raise ViolationError("clique promise broken: found members not adjacent")
     return Graph.clique(n, [anchor, *members])
@@ -383,7 +331,14 @@ def learn_star_or(
     else:
         raise RetryBudgetError("no verified center in 20 rounds")
 
-    leaves = _search_mask(oracle, others, 1 << candidate, backend)
+    bit = 1 << candidate
+    leaves = cgt_solve(
+        others,
+        lambda s: oracle.or_query(bit | s),
+        backend=backend,
+        ledger=oracle.ledger,
+        block=lambda items: oracle.or_block_query(bit, items),
+    )
     if not leaves:
         raise ViolationError("verified center has no leaves; not a star?")
     return Graph.star(n, candidate, f2.support(leaves))

@@ -204,14 +204,14 @@ def test_criterion_03_exact_learners_are_exact():
                 return items & _mask
 
             got = cgt_solve(
-                list(range(128)),
+                (1 << 128) - 1,
                 test_fn,
                 k=k_true if trial % 2 == 0 else None,
                 backend=backend,
                 ledger=led,
                 block=block_fn,
             )
-            assert got == defects
+            assert got == mask
 
     a_side, b_side = list(range(10)), list(range(10, 20))
     for _ in range(1000):

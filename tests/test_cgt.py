@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gqlab import f2
-from gqlab.cgt import cgt_solve, prepare, quantum_search, search
+from gqlab.cgt import BACKENDS, cgt_solve, prepare, quantum_search, search
 from gqlab.errors import ViolationError
 from gqlab.graphs import Graph
 from gqlab.oracles import GraphOracle, QueryLedger
@@ -47,8 +47,8 @@ def make_block(hidden, ledger):
 def test_single_positive_query_count_hand_traced():
     # confirm(8) + three halvings + final clean check = 2 + log2(8)
     test, log = make_test({3})
-    out = cgt_solve(list(range(8)), test, k=1)
-    assert out == {3}
+    out = cgt_solve(0xFF, test, k=1)
+    assert out == 1 << 3
     assert len(log) == 5
     # the trace itself: whole, left half, quarter, single, then the rest
     assert log[0] == list(range(8))
@@ -60,10 +60,12 @@ def test_single_positive_query_count_hand_traced():
 
 def test_zero_positives_one_confirming_query():
     test, log = make_test(set())
-    assert cgt_solve(list(range(100)), test, k=0) == frozenset()
+    assert cgt_solve((1 << 100) - 1, test, k=0) == 0
     assert len(log) == 1
+    # an empty universe asks nothing
     test2, log2 = make_test(set())
-    assert cgt_solve([], test2) == frozenset()
+    assert cgt_solve(0, test2) == 0
+    assert cgt_solve(0, test2, k=0) == 0
     assert log2 == []
 
 
@@ -77,7 +79,7 @@ def test_adaptive_bound_holds_on_random_instances():
     n = 1024
     hidden = set(int(v) for v in rng.choice(n, size=16, replace=False))
     test, log = make_test(hidden)
-    assert cgt_solve(list(range(n)), test) == hidden
+    assert cgt_solve((1 << n) - 1, test) == f2.from_support(hidden, n)
     assert len(log) <= adaptive_bound(n, 16) == 177
 
 
@@ -89,7 +91,7 @@ def test_adaptive_bound_holds_on_random_instances():
 def test_adaptive_exactness(n, raw_hidden):
     hidden = {v for v in raw_hidden if v < n}
     test, log = make_test(hidden)
-    assert cgt_solve(list(range(n)), test) == hidden
+    assert cgt_solve((1 << n) - 1, test) == f2.from_support(hidden, n)
     assert len(log) <= adaptive_bound(n, len(hidden))
 
 
@@ -117,6 +119,11 @@ def _reference_adaptive_search(universe, test, k):
         found.append(x)
         remaining.remove(x)
     return frozenset(found)
+
+
+def _search_set(universe, test, k):
+    # the prepared search in universe order, answering with a set
+    return frozenset(f2.support(search(prepare(universe), test, k)))
 
 
 def _outcome(solve, log):
@@ -161,14 +168,14 @@ def test_cgt_mask_queries_match_list_reference(data):
         return rule(new_log[-1], hidden)
 
     expected = _outcome(lambda: _reference_adaptive_search(universe, ref_test, k), ref_log)
-    got = _outcome(lambda: cgt_solve(universe, new_test, k=k), new_log)
+    got = _outcome(lambda: _search_set(universe, new_test, k), new_log)
     assert got == expected
 
 
 def test_cgt_mask_queries_match_list_reference_at_scale():
     # wide universes, every positive count from none to all, and promises
     # that are absent, exact or one short; logs compare masks query by query.
-    # The prepared search is checked against cgt_solve under a random base.
+    # The prepared search is also checked under a random base.
     rules = {
         "member": lambda mask, hidden: mask & hidden != 0,
         "pair": lambda mask, hidden: (mask & hidden).bit_count() >= 2,
@@ -196,7 +203,7 @@ def test_cgt_mask_queries_match_list_reference_at_scale():
                             lambda: _reference_adaptive_search(universe, ref_test, k),
                             ref_log,
                         )
-                        got = _outcome(lambda: cgt_solve(universe, new_test, k=k), new_log)
+                        got = _outcome(lambda: _search_set(universe, new_test, k), new_log)
                         assert got == expected, (size, count, k, name)
 
                         # the prepared search under a base outside the
@@ -219,28 +226,37 @@ def test_cgt_mask_queries_match_list_reference_at_scale():
 def test_known_k_violation_detected():
     test, _ = make_test({1, 5})
     with pytest.raises(ViolationError):
-        cgt_solve(list(range(8)), test, k=1)
+        cgt_solve(0xFF, test, k=1)
+    # too few positives fail once the search returns, asking nothing more
+    ledger = QueryLedger()
+    test, log = make_test({1, 5}, ledger)
+    with pytest.raises(ViolationError):
+        cgt_solve(0xFF, test, k=3)
+    ref_test, ref_log = make_test({1, 5})
+    assert search(prepare(range(8)), ref_test, 3) == 0b100010
+    assert log == ref_log
+    assert ledger.counts["or_query"] == len(ref_log)
 
 
 def test_argument_validation():
-    test, _ = make_test(set())
-    with pytest.raises(ValueError):
-        cgt_solve([1], test, backend="grover")
-    with pytest.raises(ValueError):
-        cgt_solve([1], test, k=-1)
-    with pytest.raises(ValueError):
-        cgt_solve([1], test, backend="quantum_ideal")  # ledger missing
     ledger = QueryLedger()
+    test, log = make_test(set(), ledger)
     with pytest.raises(ValueError):
-        cgt_solve([1], test, backend="quantum_ideal", ledger=ledger)  # block missing
+        cgt_solve(0b10, test, backend="grover")
     with pytest.raises(ValueError):
-        cgt_solve(
-            [1, 1], test, backend="quantum_ideal", ledger=ledger,
-            block=make_block(set(), ledger),
-        )
+        cgt_solve(0b10, test, k=-1)
+    with pytest.raises(ValueError):
+        cgt_solve(0b10, test, backend="quantum_ideal")  # ledger missing
+    with pytest.raises(ValueError):
+        cgt_solve(0b10, test, backend="quantum_ideal", ledger=ledger)  # block missing
+    for backend in BACKENDS:
+        with pytest.raises(ValueError, match="nonnegative mask"):
+            cgt_solve(-1, test, backend=backend, ledger=ledger, block=make_block(set(), ledger))
     for backend in ("grover", "classical_adaptive"):
         with pytest.raises(ValueError):
             quantum_search(0b10, make_block(set(), ledger), ledger, None, backend)
+    assert log == []
+    assert ledger.counts["or_query"] == 0
     assert ledger.suppressed["or_query"] == 0
     assert ledger.counts["charged_quantum"] == 0
 
@@ -251,16 +267,15 @@ def test_quantum_ideal_known_k_charge_and_audit():
     ledger = QueryLedger()
     hidden = {2, 9, 11, 30, 31, 44, 45, 53, 60, 61, 62, 63, 70, 81, 90, 99}
     test, log = make_test(hidden, ledger)
-    universe = list(range(100))
     out = cgt_solve(
-        universe, test, k=16, backend="quantum_ideal", ledger=ledger,
+        (1 << 100) - 1, test, k=16, backend="quantum_ideal", ledger=ledger,
         block=make_block(hidden, ledger),
     )
-    assert out == hidden
+    assert out == f2.from_support(hidden, 100)
     assert ledger.counts["charged_quantum"] == 4  # ceil(sqrt(16))
     assert ledger.counts["or_query"] == 0
     # the answer comes from one block query, one suppressed test per item
-    assert ledger.suppressed["or_query"] == len(universe)
+    assert ledger.suppressed["or_query"] == 100
     assert log == []
 
 
@@ -270,7 +285,7 @@ def test_quantum_time_efficient_charges():
         hidden = set(range(k))
         test, _ = make_test(hidden, ledger)
         cgt_solve(
-            list(range(64)),
+            (1 << 64) - 1,
             test,
             k=k,
             backend="quantum_time_efficient",
@@ -285,10 +300,10 @@ def test_quantum_unknown_k_doubling_charges():
         ledger = QueryLedger()
         test, _ = make_test(hidden, ledger)
         out = cgt_solve(
-            list(range(40)), test, backend="quantum_ideal", ledger=ledger,
+            (1 << 40) - 1, test, backend="quantum_ideal", ledger=ledger,
             block=make_block(hidden, ledger),
         )
-        assert out == hidden
+        assert out == f2.from_support(hidden, 40)
         assert ledger.counts["charged_quantum"] == expect
 
 
@@ -303,13 +318,13 @@ def test_quantum_backends_find_the_classical_set_on_or_tests():
         picks = rng.choice(len(pairs), size=int(rng.integers(0, 2 * n)))
         oracle = GraphOracle(Graph(n, [pairs[int(i)] for i in picks]), rng)
         base = int(rng.integers(0, 1 << n)) & int(rng.integers(0, 1 << n))
-        universe, outside = [], 0
+        universe = outside = 0
         for v in rng.permutation(n).tolist():
             if base >> v & 1:
                 if rng.random() < 0.5:
-                    universe.append(v)
+                    universe |= 1 << v
             elif not oracle.or_query(outside | 1 << v):
-                universe.append(v)
+                universe |= 1 << v
                 outside |= 1 << v
 
         def test(subset):
@@ -319,7 +334,7 @@ def test_quantum_backends_find_the_classical_set_on_or_tests():
             return oracle.or_block_query(base, items)
 
         expect = cgt_solve(universe, test)
-        k = len(expect) if trial % 2 else None
+        k = expect.bit_count() if trial % 2 else None
         for backend in ("quantum_ideal", "quantum_time_efficient"):
             before = oracle.ledger.snapshot()
             suppressed = oracle.ledger.suppressed["or_query"]
@@ -328,7 +343,7 @@ def test_quantum_backends_find_the_classical_set_on_or_tests():
             )
             assert out == expect
             assert oracle.ledger.delta(before)["or_query"] == 0
-            assert oracle.ledger.suppressed["or_query"] - suppressed == len(universe)
+            assert oracle.ledger.suppressed["or_query"] - suppressed == universe.bit_count()
 
 
 def test_quantum_promise_mismatch_raises():
@@ -338,7 +353,7 @@ def test_quantum_promise_mismatch_raises():
     for k in (1, 3):  # overcounted and undercounted promises
         with pytest.raises(ViolationError):
             cgt_solve(
-                list(range(8)), test, k=k, backend="quantum_ideal", ledger=ledger,
+                0xFF, test, k=k, backend="quantum_ideal", ledger=ledger,
                 block=block,
             )
     assert ledger.counts["charged_quantum"] == 0

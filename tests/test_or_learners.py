@@ -9,12 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gqlab import f2
+from gqlab import f2, or_learners
 from gqlab.errors import RetryBudgetError, ViolationError
 from gqlab.graphs import Graph, adversary_instance, generate
 from gqlab.oracles import GraphOracle, QueryLedger
 from gqlab.or_learners import (
-    find_nonisolated,
     greedy_coloring,
     learn_bipartite_edges,
     learn_clique_or,
@@ -33,25 +32,14 @@ def all_pairs(vertices):
     return list(itertools.combinations(sorted(vertices), 2))
 
 
-# -- find_nonisolated ------------------------------------------------------------
+# -- bipartite learning -----------------------------------------------------------
 
-def test_find_nonisolated_exact():
-    # A = {0,1,2}, B = {3,4}; only cross edges
-    g = Graph(5, [(0, 3), (2, 4)])
-    oracle = fresh(g, 1)
-    assert find_nonisolated(oracle, [0, 1, 2], [3, 4]) == {0, 2}
-    assert find_nonisolated(oracle, [1], [3, 4]) == frozenset()
-    assert find_nonisolated(oracle, [], [3, 4]) == frozenset()
-
-
-def test_find_nonisolated_catches_dependent_other_side():
+def test_bipartite_edges_catches_dependent_other_side():
+    # every vertex of the first side looks active, so the recheck runs
     g = Graph(4, [(2, 3)])  # the "other" side holds an edge
     oracle = fresh(g, 2)
-    with pytest.raises(ViolationError):
-        find_nonisolated(oracle, [0, 1], [2, 3])
-
-
-# -- bipartite learning -----------------------------------------------------------
+    with pytest.raises(ViolationError, match="not an independent set"):
+        learn_bipartite_edges(oracle, [0, 1], [2, 3])
 
 def test_bipartite_edges_exhaustive_3x3():
     a_side, b_side = [0, 1, 2], [3, 4, 5]
@@ -443,6 +431,24 @@ def test_learn_star_charges():
     assert oracle.ledger.counts["or_query"] == 5
 
 
+def test_star_and_clique_group_test_through_the_module_global(monkeypatch):
+    # the benchmark's tracer times group testing by patching this global
+    calls = []
+    real = or_learners.cgt_solve
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(or_learners, "cgt_solve", counting)
+    star = Graph(10, [(3, v) for v in (1, 5, 7)])
+    assert learn_star_or(fresh(star, 30)) == star
+    assert calls == [0x3FF ^ 1 << 3]
+    clique = Graph(10, all_pairs((2, 4, 8)))
+    assert learn_clique_or(fresh(clique, 31), k=3) == clique
+    assert len(calls) == 2
+
+
 def test_learn_star_empty_graph_budget_error():
     g = Graph(6, [])
     with pytest.raises(RetryBudgetError, match="in 20 rounds"):
@@ -458,9 +464,8 @@ def test_learn_star_empty_graph_budget_error():
         lambda o, b: learn_clique_or(o, k=2, backend=b),
         lambda o, b: learn_graph_or(o, backend=b),
         lambda o, b: learn_bipartite_edges(o, [0, 2], [1, 3], backend=b),
-        lambda o, b: find_nonisolated(o, [0, 2], [1, 3], backend=b),
     ],
-    ids=["star", "clique", "graph", "bipartite", "nonisolated"],
+    ids=["star", "clique", "graph", "bipartite"],
 )
 def test_or_learners_reject_unknown_backend(learn):
     g = Graph(4, [(0, 1)])

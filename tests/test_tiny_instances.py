@@ -15,7 +15,7 @@ from collections import Counter
 
 import numpy as np
 
-from gqlab import harness
+from gqlab import f2, harness
 from gqlab.errors import GqlabError
 from gqlab.graphs import Graph, enumerate_all_graphs
 from gqlab.harness import ExperimentConfig
@@ -129,7 +129,7 @@ def test_every_defect_set_on_five_items_through_cgt():
                     ledger = QueryLedger()
                     draw = _Scripted(None, choice=np.array(items, dtype=np.int64))
                     instance = family.draw(point, draw, ledger)
-                    assert instance[1] == frozenset(items)
+                    assert instance[1] == f2.from_support(items, n)
                     got = _solve("cgt", point, instance, ledger, backend)
                     if known_k and backend == "quantum_ideal":
                         rounds = math.ceil(math.sqrt(k))
